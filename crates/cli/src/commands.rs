@@ -37,6 +37,8 @@ USAGE:
                          [--chunk-elems N] [--streams yes] [--trace OUT.json]
                          [--engine auto|threaded|event]
 
+  --grid sets the mesh's RxC processor grid (R·C must equal --procs);
+  without it the mesh takes the most-square grid for --procs;
   --faults takes comma-separated key=value tokens, e.g.
   'seed=7,drop=0.2' or 'dead=2' or 'corrupt@0-1=0.5,phase=send' or
   'die=1:500' (rank 1 dies 500 µs into the run; parts re-homed mid-stream);
@@ -146,6 +148,25 @@ fn parse_grid(s: &str) -> Result<(usize, usize), CmdError> {
     Ok((pr, pc))
 }
 
+/// The mesh grid for `procs` ranks: `--grid RxC` when given (it must
+/// multiply to `procs`), otherwise the most-square `pr × pc = procs` with
+/// `pr ≤ pc`.
+fn mesh_grid(p: &Parsed, procs: usize) -> Result<(usize, usize), CmdError> {
+    let Some(spec) = p.flags.get("grid") else {
+        let pr = (1..=procs)
+            .take_while(|d| d * d <= procs)
+            .filter(|d| procs % d == 0)
+            .last()
+            .unwrap_or(1);
+        return Ok((pr, procs / pr));
+    };
+    let (pr, pc) = parse_grid(spec)?;
+    if pr.checked_mul(pc) != Some(procs) {
+        return Err(format!("grid {pr}x{pc} does not match --procs {procs}"));
+    }
+    Ok((pr, pc))
+}
+
 fn build_partition(
     p: &Parsed,
     rows: usize,
@@ -158,10 +179,7 @@ fn build_partition(
         "rowcyclic" => Ok(Box::new(RowCyclic::new(rows, cols, procs))),
         "colcyclic" => Ok(Box::new(ColCyclic::new(rows, cols, procs))),
         "mesh" => {
-            let (pr, pc) = parse_grid(p.flag_or("grid", "2x2"))?;
-            if pr * pc != procs {
-                return Err(format!("grid {pr}x{pc} does not match --procs {procs}"));
-            }
+            let (pr, pc) = mesh_grid(p, procs)?;
             Ok(Box::new(Mesh2D::new(rows, cols, pr, pc)))
         }
         other => Err(format!(
@@ -210,9 +228,22 @@ fn build_machine(p: &Parsed, procs: usize, model: MachineModel) -> Result<Multic
     Ok(machine)
 }
 
+/// Read, validate and densify a `.mtx` file. The header's shape is
+/// untrusted: a dense array whose byte size overflows `isize::MAX` is
+/// refused before anything is allocated for it.
 fn load(path: &str) -> Result<Dense2D, CmdError> {
     let coo = matrixmarket::read_file(path).map_err(|e| format!("{path}: {e}"))?;
     coo.validate().map_err(|e| format!("{path}: {e}"))?;
+    let (rows, cols) = (coo.rows(), coo.cols());
+    let fits = rows
+        .checked_mul(cols)
+        .and_then(|cells| cells.checked_mul(std::mem::size_of::<f64>()))
+        .is_some_and(|bytes| isize::try_from(bytes).is_ok());
+    if !fits {
+        return Err(format!(
+            "{path}: a dense {rows}x{cols} array is too large to allocate"
+        ));
+    }
     Ok(coo.to_dense())
 }
 
@@ -899,13 +930,7 @@ pub fn pipeline_cmd(p: &Parsed) -> Result<String, CmdError> {
     let path = p.positional(0, "input file").map_err(|e| e.to_string())?;
     let a = load(path)?;
     let procs = p.usize_or("procs", 4).map_err(|e| e.to_string())?;
-    let grid = parse_grid(p.flag_or("grid", "2x2"))?;
-    if grid.0 * grid.1 != procs {
-        return Err(format!(
-            "grid {}x{} does not match --procs {procs}",
-            grid.0, grid.1
-        ));
-    }
+    let grid = mesh_grid(p, procs)?;
     let machine = build_machine(p, procs, MachineModel::ibm_sp2())?;
     let mut out = String::new();
 
@@ -1239,6 +1264,44 @@ mod tests {
         )))
         .is_err());
         assert!(crate::run(&argv(&format!("gen {path} --rows 10 --pattern laplacian"))).is_err());
+    }
+
+    #[test]
+    fn mesh_without_grid_takes_the_most_square_grid() {
+        let path = tmp("mesh_grid.mtx");
+        crate::run(&argv(&format!("gen {path} --rows 20 --ratio 0.2"))).unwrap();
+        for procs in [4, 6, 7, 16] {
+            let out = crate::run(&argv(&format!(
+                "distribute {path} --partition mesh --procs {procs}"
+            )))
+            .unwrap_or_else(|e| panic!("--procs {procs}: {e}"));
+            assert!(out.contains("verified"), "--procs {procs}: {out}");
+        }
+        let p = crate::args::Parsed::parse(&argv("distribute x --partition mesh")).unwrap();
+        assert_eq!(super::mesh_grid(&p, 4).unwrap(), (2, 2));
+        assert_eq!(super::mesh_grid(&p, 6).unwrap(), (2, 3));
+        assert_eq!(super::mesh_grid(&p, 7).unwrap(), (1, 7));
+        assert_eq!(super::mesh_grid(&p, 65536).unwrap(), (256, 256));
+        assert_eq!(super::mesh_grid(&p, 131072).unwrap(), (256, 512));
+        let err = crate::run(&argv(&format!(
+            "distribute {path} --partition mesh --grid 2x2 --procs 6"
+        )))
+        .unwrap_err();
+        assert!(err.contains("grid 2x2 does not match --procs 6"), "{err}");
+    }
+
+    #[test]
+    fn huge_header_is_an_error_not_a_panic() {
+        let path = tmp("huge.mtx");
+        std::fs::write(
+            &path,
+            "%%MatrixMarket matrix coordinate real general\n3000000000 3000000000 0\n",
+        )
+        .unwrap();
+        for cmd in ["info", "distribute"] {
+            let err = crate::run(&argv(&format!("{cmd} {path}"))).unwrap_err();
+            assert!(err.contains("too large to allocate"), "{cmd}: {err}");
+        }
     }
 
     #[test]

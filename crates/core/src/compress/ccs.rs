@@ -58,34 +58,47 @@ impl Ccs {
     /// Compress one part of a partitioned global array straight from the
     /// global array, storing **global** row indices (the CFS source-side
     /// compression, §3.2; see Figure 5(b) where `CO` holds global indices).
+    /// Op counting matches [`Ccs::from_dense`] over the part's cells.
+    ///
+    /// The scan walks `global.row(gr)` through the part's
+    /// [`Partition::global_axes`] table in row-major order, then places
+    /// the nonzeros by a stable counting sort over local columns, so each
+    /// column keeps its local rows in increasing order.
     pub fn from_part_global(
         global: &Dense2D,
         part: &dyn Partition,
         pid: usize,
         ops: &mut OpCounter,
     ) -> Ccs {
-        let (lrows, lcols) = part.local_shape(pid);
-        let mut cp = Vec::with_capacity(lcols + 1);
-        let mut ri = Vec::new();
-        let mut vl = Vec::new();
-        cp.push(0);
-        for lc in 0..lcols {
-            for lr in 0..lrows {
-                ops.tick();
-                let (gr, gc) = part.to_global(pid, lr, lc);
-                let v = global.get(gr, gc);
+        let (rows, cols) = part.global_axes(pid);
+        let mut cp = vec![0usize; cols.len() + 1];
+        let mut found: Vec<(usize, usize, f64)> = Vec::new();
+        for &gr in &rows {
+            let src = global.row(gr);
+            for (lc, &gc) in cols.iter().enumerate() {
+                let v = src[gc];
                 if v != 0.0 {
-                    ri.push(gr);
-                    vl.push(v);
-                    ops.add(3);
+                    found.push((lc, gr, v));
+                    cp[lc + 1] += 1;
                 }
             }
-            cp.push(ri.len());
+        }
+        ops.add((rows.len() * cols.len() + 3 * found.len()) as u64);
+        for lc in 0..cols.len() {
+            cp[lc + 1] += cp[lc];
+        }
+        let mut ri = vec![0usize; found.len()];
+        let mut vl = vec![0.0f64; found.len()];
+        let mut cursor = cp.clone();
+        for (lc, gr, v) in found {
+            ri[cursor[lc]] = gr;
+            vl[cursor[lc]] = v;
+            cursor[lc] += 1;
         }
         let (grows, _) = part.global_shape();
         Ccs {
             rows: grows,
-            cols: lcols,
+            cols: cols.len(),
             cp,
             ri,
             vl,

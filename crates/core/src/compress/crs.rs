@@ -56,35 +56,38 @@ impl Crs {
     /// Compress one part of a partitioned global array directly from the
     /// global array, storing **global** column indices in `co` — the CFS
     /// source-side compression of §3.2. Op counting matches
-    /// [`Crs::from_dense`] over the part's cells, so compressing every part
+    /// [`Crs::from_dense`] over the part's cells (one per cell scanned,
+    /// three per nonzero, charged in bulk), so compressing every part
     /// costs `(1 + 3s)·n²` total, the paper's CFS `T_Compression`.
+    ///
+    /// The scan walks `global.row(gr)` through the part's
+    /// [`Partition::global_axes`] table.
     pub fn from_part_global(
         global: &Dense2D,
         part: &dyn Partition,
         pid: usize,
         ops: &mut OpCounter,
     ) -> Crs {
-        let (lrows, lcols) = part.local_shape(pid);
-        let mut ro = Vec::with_capacity(lrows + 1);
+        let (rows, cols) = part.global_axes(pid);
+        let mut ro = Vec::with_capacity(rows.len() + 1);
         let mut co = Vec::new();
         let mut vl = Vec::new();
         ro.push(0);
-        for lr in 0..lrows {
-            for lc in 0..lcols {
-                ops.tick();
-                let (gr, gc) = part.to_global(pid, lr, lc);
-                let v = global.get(gr, gc);
+        for &gr in &rows {
+            let src = global.row(gr);
+            for &gc in &cols {
+                let v = src[gc];
                 if v != 0.0 {
                     co.push(gc);
                     vl.push(v);
-                    ops.add(3);
                 }
             }
             ro.push(co.len());
         }
+        ops.add((rows.len() * cols.len() + 3 * co.len()) as u64);
         let (_, gcols) = part.global_shape();
         Crs {
-            rows: lrows,
+            rows: rows.len(),
             cols: gcols,
             ro,
             co,

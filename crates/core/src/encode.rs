@@ -7,9 +7,11 @@
 //! with `C_ij` a global row index.
 //!
 //! *Encoding* scans the global array once at the paper's
-//! `(1 + 3s)·cells` cost, collecting the logical streams, then hands them
-//! to the wire codec the [`WirePolicy`] selects ([`Codec::encode_pairs`])
-//! — under v1 the bytes are identical to the seed's single-pass layout.
+//! `(1 + 3s)·cells` cost. Its logical streams are exactly the CFS
+//! source-side arrays of [`Crs::from_part_global`] and
+//! [`Ccs::from_part_global`], which it hands to the wire codec the
+//! [`WirePolicy`] selects ([`Codec::encode_pairs`]) — under v1 the bytes
+//! are identical to the seed's single-pass layout.
 //! *Decoding* opens the message header to find the codec that wrote the
 //! stream, reads the segments back, and converts each `C_ij` per the
 //! Cases in [`crate::convert`] with the op accounting of Tables 1–2.
@@ -71,41 +73,24 @@ pub fn encode_part_into(
     policy: &WirePolicy,
     ops: &mut OpCounter,
 ) {
-    let (lrows, lcols) = part.local_shape(pid);
-    let (outer, inner) = match kind {
-        CompressKind::Crs => (lrows, lcols),
-        CompressKind::Ccs => (lcols, lrows),
-    };
     let (grows, gcols) = part.global_shape();
-    let mut pointer = Vec::with_capacity(outer + 1);
-    pointer.push(0usize);
-    let mut indices = Vec::new();
-    let mut values = Vec::new();
-    for o in 0..outer {
-        for i in 0..inner {
-            ops.tick();
-            let (lr, lc) = match kind {
-                CompressKind::Crs => (o, i),
-                CompressKind::Ccs => (i, o),
-            };
-            let (gr, gc) = part.to_global(pid, lr, lc);
-            let v = global.get(gr, gc);
-            if v != 0.0 {
-                let travelling = match kind {
-                    CompressKind::Crs => gc,
-                    CompressKind::Ccs => gr,
-                };
-                indices.push(travelling);
-                values.push(v);
-                ops.add(3);
-            }
+    // The buffer's streams are exactly the CFS source-side arrays: the
+    // pointer, the global travelling indices and the values.
+    let (crs, ccs);
+    let (pointer, indices, values) = match kind {
+        CompressKind::Crs => {
+            crs = Crs::from_part_global(global, part, pid, ops);
+            (crs.ro(), crs.co(), crs.vl())
         }
-        pointer.push(indices.len());
-    }
+        CompressKind::Ccs => {
+            ccs = Ccs::from_part_global(global, part, pid, ops);
+            (ccs.cp(), ccs.ri(), ccs.vl())
+        }
+    };
     let codec = wire::codec_for(policy.format);
-    let desc = codec.plan(grows.max(gcols), &pointer, &indices, &values, policy);
+    let desc = codec.plan(grows.max(gcols), pointer, indices, values, policy);
     codec.begin_message(buf, desc);
-    codec.encode_pairs(buf, &pointer, &indices, &values, desc);
+    codec.encode_pairs(buf, pointer, indices, values, desc);
 }
 
 /// Decode a received special buffer (v1 layout) into a compressed local
@@ -184,7 +169,9 @@ mod tests {
     use super::*;
     use crate::compress::CompressError;
     use crate::dense::{paper_array_a, Dense2D};
-    use crate::partition::{ColBlock, Mesh2D, RowBlock};
+    use crate::partition::{
+        BalancedRows, BlockCyclic, ColBlock, ColCyclic, Mesh2D, RowBlock, RowCyclic,
+    };
 
     /// Read the raw u64/f64 stream of a buffer as (counts, pairs) for
     /// inspection.
@@ -258,6 +245,57 @@ mod tests {
                         part.name(),
                         kind
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn encoded_streams_are_the_cfs_source_arrays() {
+        // The ED buffer carries exactly `{Crs,Ccs}::from_part_global`'s
+        // (pointer, global indices, values), at the same op count, for
+        // every partition family — ragged and empty parts included.
+        let a = paper_array_a();
+        let parts: Vec<Box<dyn Partition>> = vec![
+            Box::new(RowBlock::new(10, 8, 4)),
+            Box::new(ColBlock::new(10, 8, 3)),
+            Box::new(Mesh2D::new(10, 8, 3, 3)),
+            Box::new(RowCyclic::new(10, 8, 4)),
+            Box::new(ColCyclic::new(10, 8, 3)),
+            Box::new(BlockCyclic::new(10, 8, 2, 3, 2, 2)),
+            Box::new(BalancedRows::bin_packed(&a, 3)),
+            Box::new(RowBlock::new(10, 8, 12)),
+            Box::new(ColBlock::new(10, 8, 10)),
+        ];
+        for part in &parts {
+            for kind in [CompressKind::Crs, CompressKind::Ccs] {
+                for pid in 0..part.nparts() {
+                    let mut want_ops = OpCounter::new();
+                    let (pointer, indices, values) = match kind {
+                        CompressKind::Crs => {
+                            let c = Crs::from_part_global(&a, part.as_ref(), pid, &mut want_ops);
+                            (c.ro().to_vec(), c.co().to_vec(), c.vl().to_vec())
+                        }
+                        CompressKind::Ccs => {
+                            let c = Ccs::from_part_global(&a, part.as_ref(), pid, &mut want_ops);
+                            (c.cp().to_vec(), c.ri().to_vec(), c.vl().to_vec())
+                        }
+                    };
+                    let mut ops = OpCounter::new();
+                    let buf = encode_part(&a, part.as_ref(), pid, kind, &mut ops);
+                    let what = format!("{} {kind} part {pid}", part.name());
+                    assert_eq!(ops, want_ops, "{what}");
+                    let stream = raw_stream(&buf, pointer.len() - 1);
+                    for (seg, (count, pairs)) in stream.iter().enumerate() {
+                        let run = pointer[seg]..pointer[seg + 1];
+                        assert_eq!(*count as usize, run.len(), "{what} segment {seg}");
+                        let want: Vec<(u64, f64)> = indices[run.clone()]
+                            .iter()
+                            .zip(&values[run])
+                            .map(|(&i, &v)| (i as u64, v))
+                            .collect();
+                        assert_eq!(pairs, &want, "{what} segment {seg}");
+                    }
                 }
             }
         }

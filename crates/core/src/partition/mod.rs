@@ -80,6 +80,27 @@ pub trait Partition: Sync + std::fmt::Debug {
         false
     }
 
+    /// `part`'s axis table: the global row of each local row and the global
+    /// column of each local column.
+    ///
+    /// Every partition is *separable* — the global row of a local cell
+    /// depends only on `lr` and the global column only on `lc` — so
+    /// `to_global(part, lr, lc) == (rows[lr], cols[lc])` for every local
+    /// cell (a law the partition law tests check). Source-side scans walk
+    /// `global.row(rows[lr])` through `cols` instead of mapping every cell.
+    /// A part with no local rows gets a zero-filled column vector of its
+    /// local length: no cell ever reads it.
+    fn global_axes(&self, part: usize) -> (Vec<usize>, Vec<usize>) {
+        let (lrows, lcols) = self.local_shape(part);
+        let rows = (0..lrows).map(|lr| self.to_global(part, lr, 0).0).collect();
+        let cols = if lrows == 0 {
+            vec![0; lcols]
+        } else {
+            (0..lcols).map(|lc| self.to_global(part, 0, lc).1).collect()
+        };
+        (rows, cols)
+    }
+
     /// Copy `part`'s local array out of the global array.
     fn extract_dense(&self, global: &Dense2D, part: usize) -> Dense2D {
         let (gr, gc) = self.global_shape();
@@ -90,15 +111,20 @@ pub trait Partition: Sync + std::fmt::Debug {
             global.rows(),
             global.cols()
         );
-        let (lr, lc) = self.local_shape(part);
-        let mut out = Dense2D::zeros(lr, lc);
-        for r in 0..lr {
-            for c in 0..lc {
-                let (r0, c0) = self.to_global(part, r, c);
-                out.set(r, c, global.get(r0, c0));
+        let (rows, cols) = self.global_axes(part);
+        let mut data = Vec::with_capacity(rows.len() * cols.len());
+        // Block partitions own one run of columns: copy it whole.
+        let run = cols
+            .first()
+            .filter(|&&c0| cols.iter().enumerate().all(|(i, &c)| c == c0 + i));
+        for &r in &rows {
+            let src = global.row(r);
+            match run {
+                Some(&c0) => data.extend_from_slice(&src[c0..c0 + cols.len()]),
+                None => data.extend(cols.iter().map(|&c| src[c])),
             }
         }
-        out
+        Dense2D::from_vec(rows.len(), cols.len(), data)
     }
 
     /// Number of nonzero elements each part owns, and the paper's `s'`
@@ -155,6 +181,14 @@ pub(crate) mod lawtests {
     /// index space.
     pub fn check_laws(p: &dyn Partition) {
         let (rows, cols) = p.global_shape();
+        let axes: Vec<_> = (0..p.nparts()).map(|part| p.global_axes(part)).collect();
+        for (part, (axis_rows, axis_cols)) in axes.iter().enumerate() {
+            assert_eq!(
+                (axis_rows.len(), axis_cols.len()),
+                p.local_shape(part),
+                "part {part} axis table does not match its local shape"
+            );
+        }
         // Every global cell maps to exactly one (part, lr, lc) and back.
         let mut seen = vec![0usize; p.nparts()];
         for r in 0..rows {
@@ -171,6 +205,12 @@ pub(crate) mod lawtests {
                     p.to_global(part, lr, lc),
                     (r, c),
                     "round trip failed at ({r},{c})"
+                );
+                let (axis_rows, axis_cols) = &axes[part];
+                assert_eq!(
+                    (axis_rows[lr], axis_cols[lc]),
+                    (r, c),
+                    "axis table disagrees with to_global at ({r},{c})"
                 );
                 assert_eq!(
                     p.row_to_local(part, r),

@@ -359,14 +359,22 @@ impl SchemeRun {
 
     /// Rebuild the global dense array from the distributed compressed
     /// parts — the correctness check that all three schemes must pass.
+    ///
+    /// Walks each local's stored nonzeros through the part's
+    /// [`Partition::global_axes`] table: O(nnz) beyond the output array.
     pub fn reassemble(&self, part: &dyn Partition) -> Dense2D {
         let (grows, gcols) = part.global_shape();
         let mut out = Dense2D::zeros(grows, gcols);
         for (pid, local) in self.locals.iter().enumerate() {
-            let dense = local.to_dense();
-            for (lr, lc, v) in dense.iter_nonzero() {
-                let (gr, gc) = part.to_global(pid, lr, lc);
-                out.set(gr, gc, v);
+            let (rows, cols) = part.global_axes(pid);
+            let mut place = |(lr, lc, v): (usize, usize, f64)| {
+                if v != 0.0 {
+                    out.set(rows[lr], cols[lc], v);
+                }
+            };
+            match local {
+                LocalCompressed::Crs(crs) => crs.iter().for_each(&mut place),
+                LocalCompressed::Ccs(ccs) => ccs.iter().for_each(&mut place),
             }
         }
         out

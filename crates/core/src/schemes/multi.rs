@@ -66,9 +66,10 @@ impl MultiSourceRun {
 /// `nsources`) into an ED buffer. Non-stripe rows are skipped entirely
 /// (they cost this source nothing).
 ///
-/// Two passes: the scan loop gathers the stripe's `(pointer, indices,
-/// values)` streams with exactly the classic op charges (one op per
-/// scanned cell, three per nonzero), then the policy's [`Codec`] lays the
+/// Two passes: the scan walks the stripe's rows through the part's axis
+/// table, gathering the `(pointer, indices, values)` streams with exactly
+/// the classic op charges (one op per scanned cell, three per nonzero,
+/// charged in bulk), then the policy's [`Codec`] lays the
 /// segment-count wire layout down in one shot. Only the byte layout is
 /// codec-dependent — the element count (`segments + 2·nnz`) and the ops
 /// charged are identical under every format.
@@ -83,29 +84,24 @@ fn encode_stripe(
     policy: &WirePolicy,
     ops: &mut OpCounter,
 ) {
-    let (lrows, lcols) = part.local_shape(pid);
+    let (rows, cols) = part.global_axes(pid);
     let (_, gcols) = part.global_shape();
-    let mut pointer = Vec::with_capacity(lrows / nsources + 2);
+    let mut pointer = Vec::with_capacity(rows.len() / nsources + 2);
     pointer.push(0usize);
     let mut indices = Vec::new();
     let mut values = Vec::new();
-    for lr in 0..lrows {
-        let (gr, _) = part.to_global(pid, lr, 0);
-        if gr % nsources != stripe {
-            continue;
-        }
-        for lc in 0..lcols {
-            ops.tick();
-            let (gr2, gc) = part.to_global(pid, lr, lc);
-            let v = global.get(gr2, gc);
+    for &gr in rows.iter().filter(|&&gr| gr % nsources == stripe) {
+        let src = global.row(gr);
+        for &gc in &cols {
+            let v = src[gc];
             if v != 0.0 {
                 indices.push(gc);
                 values.push(v);
-                ops.add(3);
             }
         }
         pointer.push(indices.len());
     }
+    ops.add(((pointer.len() - 1) * cols.len() + 3 * indices.len()) as u64);
     let codec = wire::codec_for(policy.format);
     let desc = codec.plan(gcols, &pointer, &indices, &values, policy);
     codec.begin_message(buf, desc);

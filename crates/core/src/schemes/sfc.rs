@@ -61,33 +61,21 @@ impl SchemeStages for Stages<'_> {
     /// only sees `encode_values`: under v1 the bytes are the bare `f64`
     /// run, v2 adds only its self-describing header, and v3 may
     /// byte-transpose the values into planes (dense payloads are mostly
-    /// zeros, which RLE-compress hard). Gathering into the staging vector
-    /// charges one op per element only on the strided path, exactly as
-    /// the per-cell packing loop did.
+    /// zeros, which RLE-compress hard). Gathering the local array charges
+    /// one op per element only on the strided path.
     fn encode_part(
         &self,
         buf: &mut PackBuffer,
         pid: usize,
         ops: &mut OpCounter,
     ) -> Result<(), SparsedistError> {
-        let (lrows, lcols) = self.part.local_shape(pid);
-        let mut values = Vec::with_capacity(lrows * lcols);
-        if self.part.row_contiguous() {
-            // A contiguous row band: DMA straight from the global array.
-            for lr in 0..lrows {
-                let (gr, _) = self.part.to_global(pid, lr, 0);
-                values.extend_from_slice(self.global.row(gr));
-            }
-        } else {
-            for lr in 0..lrows {
-                for lc in 0..lcols {
-                    let (gr, gc) = self.part.to_global(pid, lr, lc);
-                    values.push(self.global.get(gr, gc));
-                    ops.tick();
-                }
-            }
+        let local = self.part.extract_dense(self.global, pid);
+        if !self.part.row_contiguous() {
+            // Strided gather: one op per element. A contiguous row band
+            // is sent straight from the global array, at no CPU cost.
+            ops.add(local.len() as u64);
         }
-        wire::pack_values_into(buf, &values, &self.policy);
+        wire::pack_values_into(buf, local.as_slice(), &self.policy);
         Ok(())
     }
 

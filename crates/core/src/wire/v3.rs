@@ -534,7 +534,7 @@ fn decode_plane(cursor: &mut UnpackCursor<'_>, n: usize) -> Result<Vec<u8>, Spar
                 if len > n - out.len() {
                     return Err(codec_err("value-plane RLE runs exceed the value count").into());
                 }
-                out.extend(std::iter::repeat(b).take(len));
+                out.extend(std::iter::repeat_n(b, len));
             }
             if out.len() != n {
                 return Err(codec_err("value-plane RLE runs fall short of the value count").into());

@@ -53,16 +53,134 @@ fn parse_err(line: usize, reason: impl Into<String>) -> MmError {
     }
 }
 
+/// The `field` of a `matrix coordinate` header.
+#[derive(Debug, Clone, Copy)]
+enum Field {
+    /// `real` or `integer`: every entry carries a value.
+    Valued,
+    /// `pattern`: entries carry no value and read as 1.0.
+    Pattern,
+}
+
+/// Bytes that separate fields within a line: the ASCII whitespace other
+/// than the line feed that ends the line. Non-ASCII whitespace is not a
+/// separator.
+fn is_sep(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\r' | 0x0B | 0x0C)
+}
+
+/// The separator-delimited tokens of one line.
+fn tokens(line: &str) -> impl Iterator<Item = &str> {
+    line.split(|c: char| u8::try_from(c).is_ok_and(is_sep))
+        .filter(|t| !t.is_empty())
+}
+
+/// A forward-only cursor over the document's bytes that knows which
+/// 1-based line it is on.
+struct Scanner<'a> {
+    text: &'a str,
+    pos: usize,
+    line: usize,
+}
+
+impl<'a> Scanner<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
+    /// The rest of the current line, without its line feed.
+    fn rest_of_line(&self) -> &'a str {
+        let rest = &self.bytes()[self.pos..];
+        let len = rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
+        // The cut sits on an ASCII byte or the end, so it is a char boundary.
+        self.text.get(self.pos..self.pos + len).unwrap_or("")
+    }
+
+    /// Step past the current line's line feed (or to the end of text).
+    fn next_line(&mut self) {
+        self.pos += self.rest_of_line().len();
+        if self.pos < self.text.len() {
+            self.pos += 1;
+            self.line += 1;
+        }
+    }
+
+    /// Step over separators within the current line.
+    fn skip_seps(&mut self) {
+        let bytes = self.bytes();
+        while self.pos < bytes.len() && is_sep(bytes[self.pos]) {
+            self.pos += 1;
+        }
+    }
+
+    /// Skip blank and `%` comment lines. Returns false at the end of the
+    /// text, true with the cursor on the first token of a content line.
+    fn content_line(&mut self) -> bool {
+        loop {
+            self.skip_seps();
+            match self.bytes().get(self.pos) {
+                None => return false,
+                Some(b'\n' | b'%') => self.next_line(),
+                Some(_) => return true,
+            }
+        }
+    }
+
+    /// Step over one token, returning its byte range.
+    fn token(&mut self) -> (usize, usize) {
+        let start = self.pos;
+        let bytes = self.bytes();
+        while self.pos < bytes.len() && bytes[self.pos] != b'\n' && !is_sep(bytes[self.pos]) {
+            self.pos += 1;
+        }
+        (start, self.pos)
+    }
+
+    /// Step over one token, reading it as `usize::from_str` would: an
+    /// optional `+`, then one or more ASCII digits, without overflow.
+    /// `None` if the token is not such a number.
+    fn index(&mut self) -> Option<usize> {
+        let (start, end) = self.token();
+        let digits = match self.bytes().get(start) {
+            Some(b'+') => &self.bytes()[start + 1..end],
+            _ => &self.bytes()[start..end],
+        };
+        if digits.is_empty() {
+            return None;
+        }
+        digits.iter().try_fold(0usize, |acc, &b| {
+            let digit = b.wrapping_sub(b'0');
+            if digit > 9 {
+                return None;
+            }
+            acc.checked_mul(10)?.checked_add(usize::from(digit))
+        })
+    }
+}
+
 /// Parse a MatrixMarket `coordinate real general` document.
 ///
 /// `pattern` matrices get value 1.0 per entry; `symmetric` matrices are
 /// expanded (the mirrored entry is materialised). `integer` values are
 /// accepted as reals.
+///
+/// The reader makes one pass over the bytes. Lines end at `\n`; fields
+/// are separated by runs of ASCII whitespace (space, tab, CR, VT, FF).
+/// Other whitespace, such as U+00A0, is part of a token, so a field
+/// holding it fails to parse with a typed [`MmError::Parse`]. Indices
+/// accept exactly what `usize::from_str` accepts; values are read by
+/// `f64::from_str`.
 pub fn parse(text: &str) -> Result<Coo, MmError> {
-    let mut lines = text.lines().enumerate();
+    if text.is_empty() {
+        return Err(parse_err(1, "empty document"));
+    }
+    let mut sc = Scanner {
+        text,
+        pos: 0,
+        line: 1,
+    };
 
-    let (_, header) = lines.next().ok_or_else(|| parse_err(1, "empty document"))?;
-    let h: Vec<&str> = header.split_whitespace().collect();
+    let h: Vec<&str> = tokens(sc.rest_of_line()).collect();
     if h.len() != 5 || !h[0].eq_ignore_ascii_case("%%MatrixMarket") {
         return Err(parse_err(
             1,
@@ -72,74 +190,86 @@ pub fn parse(text: &str) -> Result<Coo, MmError> {
     if !h[1].eq_ignore_ascii_case("matrix") || !h[2].eq_ignore_ascii_case("coordinate") {
         return Err(MmError::Unsupported(format!("{} {}", h[1], h[2])));
     }
-    let field = h[3].to_ascii_lowercase();
-    if !matches!(field.as_str(), "real" | "integer" | "pattern") {
-        return Err(MmError::Unsupported(format!("field '{field}'")));
-    }
-    let symmetry = h[4].to_ascii_lowercase();
-    if !matches!(symmetry.as_str(), "general" | "symmetric") {
-        return Err(MmError::Unsupported(format!("symmetry '{symmetry}'")));
-    }
+    let field = match h[3].to_ascii_lowercase().as_str() {
+        "real" | "integer" => Field::Valued,
+        "pattern" => Field::Pattern,
+        other => return Err(MmError::Unsupported(format!("field '{other}'"))),
+    };
+    let symmetric = match h[4].to_ascii_lowercase().as_str() {
+        "general" => false,
+        "symmetric" => true,
+        other => return Err(MmError::Unsupported(format!("symmetry '{other}'"))),
+    };
+    sc.next_line();
 
     // Size line: first non-comment line.
-    let mut size = None;
-    for (i, line) in lines.by_ref() {
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('%') {
-            continue;
-        }
-        let parts: Vec<&str> = t.split_whitespace().collect();
-        if parts.len() != 3 {
-            return Err(parse_err(i + 1, "size line must be 'rows cols nnz'"));
-        }
-        let rows: usize = parts[0]
-            .parse()
-            .map_err(|_| parse_err(i + 1, "bad row count"))?;
-        let cols: usize = parts[1]
-            .parse()
-            .map_err(|_| parse_err(i + 1, "bad col count"))?;
-        let nnz: usize = parts[2]
-            .parse()
-            .map_err(|_| parse_err(i + 1, "bad nnz count"))?;
-        size = Some((rows, cols, nnz));
-        break;
+    if !sc.content_line() {
+        return Err(parse_err(0, "missing size line"));
     }
-    let (rows, cols, nnz) = size.ok_or_else(|| parse_err(0, "missing size line"))?;
+    let line = sc.line;
+    let size: Vec<&str> = tokens(sc.rest_of_line()).collect();
+    if size.len() != 3 {
+        return Err(parse_err(line, "size line must be 'rows cols nnz'"));
+    }
+    let rows: usize = size[0]
+        .parse()
+        .map_err(|_| parse_err(line, "bad row count"))?;
+    let cols: usize = size[1]
+        .parse()
+        .map_err(|_| parse_err(line, "bad col count"))?;
+    let nnz: usize = size[2]
+        .parse()
+        .map_err(|_| parse_err(line, "bad nnz count"))?;
+    sc.next_line();
 
-    let mut coo = Coo::new(rows, cols);
+    let want = match field {
+        Field::Valued => 3,
+        Field::Pattern => 2,
+    };
+    // The header count is untrusted: never reserve more entries than the
+    // remaining bytes could hold (each field and its separator take at
+    // least two bytes; the last line may lack its line feed).
+    let most = (text.len() - sc.pos + 1) / (2 * want);
+    let mut entries = Vec::with_capacity(nnz.min(most));
     let mut seen = 0usize;
-    for (i, line) in lines {
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('%') {
-            continue;
+    while sc.content_line() {
+        let line = sc.line;
+        let (mut r, mut c, mut value) = (None, None, (0, 0));
+        let mut fields = 0;
+        while sc.bytes().get(sc.pos).is_some_and(|&b| b != b'\n') {
+            fields += 1;
+            match fields {
+                1 => r = sc.index(),
+                2 => c = sc.index(),
+                3 => value = sc.token(),
+                _ => {
+                    sc.token();
+                }
+            }
+            sc.skip_seps();
         }
-        let parts: Vec<&str> = t.split_whitespace().collect();
-        let want = if field == "pattern" { 2 } else { 3 };
-        if parts.len() != want {
-            return Err(parse_err(i + 1, format!("entry must have {want} fields")));
+        sc.next_line();
+        if fields != want {
+            return Err(parse_err(line, format!("entry must have {want} fields")));
         }
-        let r: usize = parts[0]
-            .parse()
-            .map_err(|_| parse_err(i + 1, "bad row index"))?;
-        let c: usize = parts[1]
-            .parse()
-            .map_err(|_| parse_err(i + 1, "bad col index"))?;
+        let r = r.ok_or_else(|| parse_err(line, "bad row index"))?;
+        let c = c.ok_or_else(|| parse_err(line, "bad col index"))?;
         if r == 0 || c == 0 || r > rows || c > cols {
             return Err(parse_err(
-                i + 1,
+                line,
                 format!("index ({r},{c}) out of 1..={rows} x 1..={cols}"),
             ));
         }
-        let v: f64 = if field == "pattern" {
-            1.0
-        } else {
-            parts[2]
-                .parse()
-                .map_err(|_| parse_err(i + 1, "bad value"))?
+        let v: f64 = match field {
+            Field::Pattern => 1.0,
+            Field::Valued => text
+                .get(value.0..value.1)
+                .and_then(|t| t.parse().ok())
+                .ok_or_else(|| parse_err(line, "bad value"))?,
         };
-        coo.push(r - 1, c - 1, v);
-        if symmetry == "symmetric" && r != c {
-            coo.push(c - 1, r - 1, v);
+        entries.push((r - 1, c - 1, v));
+        if symmetric && r != c {
+            entries.push((c - 1, r - 1, v));
         }
         seen += 1;
     }
@@ -149,7 +279,7 @@ pub fn parse(text: &str) -> Result<Coo, MmError> {
             format!("header promised {nnz} entries, found {seen}"),
         ));
     }
-    Ok(coo)
+    Ok(Coo::from_entries(rows, cols, entries))
 }
 
 /// Render a [`Coo`] as a `matrix coordinate real general` document.
