@@ -197,23 +197,48 @@ fn parse_engine(s: &str) -> Result<Option<EngineKind>, CmdError> {
     }
 }
 
-/// Reject `--procs` beyond what any engine backend can schedule, with a
-/// typed [`SparsedistError`] instead of whatever the machine constructor
-/// (or the OS thread spawner, on the threaded path) would do at the limit.
+/// Reject an empty machine, or `--procs` beyond what any engine backend
+/// can schedule, with a typed [`SparsedistError`] instead of whatever the
+/// partition or machine constructor (or the OS thread spawner, on the
+/// threaded path) would do at the limit.
 fn check_procs(procs: usize) -> Result<(), CmdError> {
     let max = EngineKind::EventLoop.max_procs();
+    if procs == 0 {
+        return Err(SparsedistError::EmptyMachine.to_string());
+    }
     if procs > max {
         return Err(SparsedistError::MachineTooLarge { procs, max }.to_string());
     }
     Ok(())
 }
 
-/// Build the simulated machine, honouring the shared `--faults SPEC`,
-/// `--retries N` and `--engine` flags.
-fn build_machine(p: &Parsed, procs: usize, model: MachineModel) -> Result<Multicomputer, CmdError> {
+/// Reject `--procs` above the threaded engine's cap for work that runs on
+/// that backend: SpMV, gather and redistribute, or a forced `--engine
+/// threaded`.
+fn check_threaded_procs(procs: usize) -> Result<(), CmdError> {
+    let max = EngineKind::Threaded.max_procs();
+    if procs > max {
+        return Err(SparsedistError::ThreadedEngineLimit { procs, max }.to_string());
+    }
+    Ok(())
+}
+
+/// Read `--procs` (default `default`) and validate it with [`check_procs`]
+/// — before any partition is built for it.
+fn procs_flag(p: &Parsed, default: usize) -> Result<usize, CmdError> {
+    let procs = p.usize_or("procs", default).map_err(|e| e.to_string())?;
     check_procs(procs)?;
+    Ok(procs)
+}
+
+/// Build the simulated machine, honouring the shared `--faults SPEC`,
+/// `--retries N` and `--engine` flags. `procs` has passed [`procs_flag`].
+fn build_machine(p: &Parsed, procs: usize, model: MachineModel) -> Result<Multicomputer, CmdError> {
     let mut machine = Multicomputer::virtual_machine(procs, model);
     if let Some(kind) = parse_engine(p.flag_or("engine", "auto"))? {
+        if kind == EngineKind::Threaded {
+            check_threaded_procs(procs)?;
+        }
         machine = machine.with_engine(kind);
     }
     if let Some(spec) = p.flags.get("faults") {
@@ -329,7 +354,7 @@ pub fn info(p: &Parsed) -> Result<String, CmdError> {
 pub fn distribute(p: &Parsed) -> Result<String, CmdError> {
     let path = p.positional(0, "input file").map_err(|e| e.to_string())?;
     let a = load(path)?;
-    let procs = p.usize_or("procs", 4).map_err(|e| e.to_string())?;
+    let procs = procs_flag(p, 4)?;
     let scheme = parse_scheme(p.flag_or("scheme", "ed"))?;
     let kind = parse_kind(p.flag_or("kind", "crs"))?;
     let model = parse_model(p.flag_or("model", "sp2"))?;
@@ -496,7 +521,7 @@ pub fn distribute(p: &Parsed) -> Result<String, CmdError> {
 pub fn trace_cmd(p: &Parsed) -> Result<String, CmdError> {
     let path = p.positional(0, "input file").map_err(|e| e.to_string())?;
     let a = load(path)?;
-    let procs = p.usize_or("procs", 4).map_err(|e| e.to_string())?;
+    let procs = procs_flag(p, 4)?;
     let scheme = parse_scheme(p.flag_or("scheme", "ed"))?;
     let kind = parse_kind(p.flag_or("kind", "crs"))?;
     let model = parse_model(p.flag_or("model", "sp2"))?;
@@ -573,6 +598,9 @@ pub fn chaos_cmd(p: &Parsed) -> Result<String, CmdError> {
     }
     check_procs(procs)?;
     let engine = parse_engine(p.flag_or("engine", "auto"))?;
+    if engine == Some(EngineKind::Threaded) {
+        check_threaded_procs(procs)?;
+    }
     let a = SparseRandom::new(rows, rows)
         .sparse_ratio(ratio)
         .seed(0xC0FFEE)
@@ -792,7 +820,7 @@ pub fn simcheck_cmd(p: &Parsed) -> Result<String, CmdError> {
 pub fn advise(p: &Parsed) -> Result<String, CmdError> {
     let path = p.positional(0, "input file").map_err(|e| e.to_string())?;
     let a = load(path)?;
-    let procs = p.usize_or("procs", 4).map_err(|e| e.to_string())?;
+    let procs = procs_flag(p, 4)?;
     let model = parse_model(p.flag_or("model", "sp2"))?;
     if a.rows() != a.cols() {
         return Err("advise uses the paper's square-array cost model".into());
@@ -847,7 +875,8 @@ pub fn advise(p: &Parsed) -> Result<String, CmdError> {
 pub fn spmv(p: &Parsed) -> Result<String, CmdError> {
     let path = p.positional(0, "input file").map_err(|e| e.to_string())?;
     let a = load(path)?;
-    let procs = p.usize_or("procs", 4).map_err(|e| e.to_string())?;
+    let procs = procs_flag(p, 4)?;
+    check_threaded_procs(procs)?;
     let scheme = parse_scheme(p.flag_or("scheme", "ed"))?;
     let part = build_partition(p, a.rows(), a.cols(), procs)?;
     let machine = build_machine(p, procs, MachineModel::ibm_sp2())?;
@@ -878,7 +907,7 @@ pub fn checkpoint_cmd(p: &Parsed) -> Result<String, CmdError> {
         .positional(1, "checkpoint directory")
         .map_err(|e| e.to_string())?;
     let a = load(path)?;
-    let procs = p.usize_or("procs", 4).map_err(|e| e.to_string())?;
+    let procs = procs_flag(p, 4)?;
     let scheme = parse_scheme(p.flag_or("scheme", "ed"))?;
     let part = build_partition(p, a.rows(), a.cols(), procs)?;
     let machine = build_machine(p, procs, MachineModel::ibm_sp2())?;
@@ -902,7 +931,8 @@ pub fn restore_cmd(p: &Parsed) -> Result<String, CmdError> {
     let out = p
         .positional(1, "output .mtx path")
         .map_err(|e| e.to_string())?;
-    let procs = p.usize_or("procs", 4).map_err(|e| e.to_string())?;
+    let procs = procs_flag(p, 4)?;
+    check_threaded_procs(procs)?;
     let rows = p.usize_or("rows", 0).map_err(|e| e.to_string())?;
     let cols = p.usize_or("cols", rows).map_err(|e| e.to_string())?;
     if rows == 0 {
@@ -929,7 +959,8 @@ pub fn restore_cmd(p: &Parsed) -> Result<String, CmdError> {
 pub fn pipeline_cmd(p: &Parsed) -> Result<String, CmdError> {
     let path = p.positional(0, "input file").map_err(|e| e.to_string())?;
     let a = load(path)?;
-    let procs = p.usize_or("procs", 4).map_err(|e| e.to_string())?;
+    let procs = procs_flag(p, 4)?;
+    check_threaded_procs(procs)?;
     let grid = mesh_grid(p, procs)?;
     let machine = build_machine(p, procs, MachineModel::ibm_sp2())?;
     let mut out = String::new();
@@ -1211,6 +1242,48 @@ mod tests {
         let err = crate::run(&argv("chaos --seeds 1 --procs 200000")).unwrap_err();
         assert!(err.contains("--procs 200000"), "{err}");
         assert!(err.contains("largest supported machine"), "{err}");
+    }
+
+    #[test]
+    fn zero_procs_is_a_typed_error() {
+        let path = tmp("gen_procs_zero.mtx");
+        crate::run(&argv(&format!("gen {path} --rows 16 --ratio 0.2"))).unwrap();
+        // Every partition constructor asserts p > 0; the CLI must refuse
+        // an empty machine before it builds one.
+        for cmd in ["distribute", "trace", "advise", "spmv", "pipeline"] {
+            let err = crate::run(&argv(&format!("{cmd} {path} --procs 0"))).unwrap_err();
+            assert!(err.contains("--procs 0"), "{cmd}: {err}");
+            assert!(err.contains("at least one rank"), "{cmd}: {err}");
+        }
+        let dir = tmp("ckpt_procs_zero");
+        let err = crate::run(&argv(&format!("checkpoint {path} {dir} --procs 0"))).unwrap_err();
+        assert!(err.contains("--procs 0"), "{err}");
+        let out = tmp("restore_procs_zero.mtx");
+        let err =
+            crate::run(&argv(&format!("restore {dir} {out} --rows 16 --procs 0"))).unwrap_err();
+        assert!(err.contains("--procs 0"), "{err}");
+    }
+
+    #[test]
+    fn procs_above_the_threaded_cap_is_a_typed_error_for_spmv() {
+        let path = tmp("gen_procs_spmv.mtx");
+        crate::run(&argv(&format!("gen {path} --rows 16 --ratio 0.2"))).unwrap();
+        // SpMV's collectives still run on the threaded engine; beyond its
+        // cap the CLI names the limit instead of panicking in the engine.
+        let err = crate::run(&argv(&format!("spmv {path} --procs 2048"))).unwrap_err();
+        assert!(err.contains("--procs 2048"), "{err}");
+        assert!(err.contains("1024-rank limit"), "{err}");
+        for cmd in [
+            format!("pipeline {path} --procs 2048"),
+            format!("distribute {path} --procs 2048 --engine threaded"),
+            "chaos --seeds 1 --procs 2048 --engine threaded".to_string(),
+        ] {
+            let err = crate::run(&argv(&cmd)).unwrap_err();
+            assert!(err.contains("1024-rank limit"), "{cmd}: {err}");
+        }
+        // Below the cap SpMV runs as before.
+        let out = crate::run(&argv(&format!("spmv {path} --procs 16"))).unwrap();
+        assert!(out.contains("over 16 processors"), "{out}");
     }
 
     #[test]

@@ -47,6 +47,20 @@ pub enum SparsedistError {
         /// The largest machine any engine supports.
         max: usize,
     },
+    /// The requested machine has no ranks: there is nothing to
+    /// distribute onto, so `--procs 0` is refused before any partition
+    /// is built.
+    EmptyMachine,
+    /// The operation runs on the threaded engine (one OS thread per rank),
+    /// whose processor cap sits below the event loop's ceiling: SpMV,
+    /// gather and redistribute until they move onto rank tasks, and any
+    /// run that forces the threaded backend.
+    ThreadedEngineLimit {
+        /// The requested processor count.
+        procs: usize,
+        /// The threaded engine's processor cap.
+        max: usize,
+    },
     /// A host filesystem operation failed (trace export, ledger dumps).
     /// Carries the path and the rendered `io::Error` — `std::io::Error` is
     /// neither `Clone` nor `PartialEq`, which this enum requires.
@@ -87,6 +101,16 @@ impl fmt::Display for SparsedistError {
                     "--procs {procs} exceeds the largest supported machine ({max} ranks)"
                 )
             }
+            SparsedistError::EmptyMachine => {
+                write!(f, "--procs 0: a machine needs at least one rank")
+            }
+            SparsedistError::ThreadedEngineLimit { procs, max } => {
+                write!(
+                    f,
+                    "--procs {procs} exceeds the threaded engine's {max}-rank limit \
+                     (SpMV, gather, redistribute and --engine threaded run on it)"
+                )
+            }
             SparsedistError::Io { path, message } => {
                 write!(f, "{path}: {message}")
             }
@@ -104,6 +128,8 @@ impl std::error::Error for SparsedistError {
             SparsedistError::SourceDead { .. } => None,
             SparsedistError::NoSurvivors { .. } => None,
             SparsedistError::MachineTooLarge { .. } => None,
+            SparsedistError::EmptyMachine => None,
+            SparsedistError::ThreadedEngineLimit { .. } => None,
             SparsedistError::Io { .. } => None,
         }
     }
@@ -149,6 +175,14 @@ mod tests {
         };
         assert!(e.to_string().contains("--procs 200000"), "{e}");
         assert!(e.to_string().contains("131072"), "{e}");
+        let e = SparsedistError::EmptyMachine;
+        assert!(e.to_string().contains("--procs 0"), "{e}");
+        let e = SparsedistError::ThreadedEngineLimit {
+            procs: 2048,
+            max: 1024,
+        };
+        assert!(e.to_string().contains("--procs 2048"), "{e}");
+        assert!(e.to_string().contains("1024-rank limit"), "{e}");
     }
 
     #[test]

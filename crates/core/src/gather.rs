@@ -21,7 +21,7 @@ use crate::convert::ConversionCase;
 use crate::error::SparsedistError;
 use crate::opcount::OpCounter;
 use crate::partition::Partition;
-use crate::schemes::{alive_ranks_of, assign_owners};
+use crate::schemes::{alive_ranks_of, assign_owners, OwnerIndex};
 use sparsedist_multicomputer::pack::UnpackError;
 use sparsedist_multicomputer::{Multicomputer, PackBuffer, Phase, PhaseLedger, VirtualTime};
 
@@ -141,6 +141,7 @@ pub fn gather_global(
         return Err(SparsedistError::SourceDead { rank: 0 });
     }
     let owners = assign_owners(part, &alive_ranks_of(machine));
+    let index = OwnerIndex::new(&owners, p);
     let owners_ref = &owners;
 
     let (globals, ledgers) =
@@ -152,8 +153,7 @@ pub fn gather_global(
 
             // Sender side: build and ship one buffer per owned part (exactly
             // one — this rank's own — when every rank is alive).
-            let mine: Vec<usize> = (0..p).filter(|&pid| owners_ref[pid] == me).collect();
-            for &pid in &mine {
+            for &pid in index.parts_of(me) {
                 let buf = env.phase(Phase::Pack, |env| {
                     let mut ops = OpCounter::new();
                     let buf = match strategy {

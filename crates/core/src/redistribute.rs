@@ -27,7 +27,7 @@ use crate::compress::{Ccs, CompressKind, Crs, LocalCompressed};
 use crate::error::SparsedistError;
 use crate::opcount::OpCounter;
 use crate::partition::Partition;
-use crate::schemes::{alive_ranks_of, assign_owners, collect_parts};
+use crate::schemes::{alive_ranks_of, assign_owners, collect_parts, OwnerIndex};
 use sparsedist_multicomputer::pack::UnpackError;
 use sparsedist_multicomputer::{Multicomputer, PackBuffer, Phase, PhaseLedger, VirtualTime};
 
@@ -228,9 +228,10 @@ pub fn redistribute(
     let Some(&hub) = alive.first() else {
         return Err(SparsedistError::SourceDead { rank: 0 });
     };
-    let from_owners = assign_owners(from, &alive);
+    let from_index = OwnerIndex::new(&assign_owners(from, &alive), p);
     let to_owners = assign_owners(to, &alive);
-    let (alive_ref, from_ref, to_ref) = (&alive, &from_owners, &to_owners);
+    let to_index = OwnerIndex::new(&to_owners, p);
+    let (alive_ref, to_ref) = (&alive, &to_owners);
 
     let (results, ledgers) = machine.run_with_ledgers(
         |env| -> Result<Vec<(usize, LocalCompressed)>, SparsedistError> {
@@ -241,11 +242,11 @@ pub fn redistribute(
             }
             // Bucket every nonzero this rank holds (all its owned `from`
             // parts — exactly its own when every rank is alive) by target pid.
-            let from_mine: Vec<usize> = (0..p).filter(|&pid| from_ref[pid] == me).collect();
+            let from_mine = from_index.parts_of(me);
             let buckets = env.phase(Phase::Pack, |env| {
                 let mut ops = OpCounter::new();
                 let mut buckets: Vec<Vec<(usize, usize, f64)>> = vec![Vec::new(); p];
-                for &fpid in &from_mine {
+                for &fpid in from_mine {
                     for (tpid, b) in bucket_by_new_owner(fpid, &locals[fpid], from, to, p, &mut ops)
                         .into_iter()
                         .enumerate()
@@ -256,7 +257,7 @@ pub fn redistribute(
                 env.charge_ops(ops.take());
                 buckets
             });
-            let to_mine: Vec<usize> = (0..p).filter(|&pid| to_ref[pid] == me).collect();
+            let to_mine = to_index.parts_of(me);
 
             let mut incoming: Vec<Vec<(usize, usize, f64)>> = vec![Vec::new(); to_mine.len()];
             match strategy {

@@ -229,6 +229,61 @@ pub fn assign_owners(part: &dyn Partition, alive: &[usize]) -> Vec<usize> {
     owners
 }
 
+/// The inverse of an owner map: for every rank, the parts it owns.
+///
+/// Built once on the host by a counting sort into two flat vectors —
+/// `start[nprocs + 1]` offsets into `parts[nparts]` — so a rank reads its
+/// own parts in O(1) instead of scanning the whole owner map, which would
+/// cost O(p) per rank and O(p²) per run. [`OwnerIndex::parts_of`] lists
+/// each rank's parts in ascending part id: the source sends parts in that
+/// order and links are FIFO, so receivers must take them in it too.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OwnerIndex {
+    start: Vec<usize>,
+    parts: Vec<usize>,
+}
+
+impl OwnerIndex {
+    /// Invert `owners` (`owners[pid]` = owning rank) over `nprocs` ranks.
+    ///
+    /// # Panics
+    /// Panics if some owner is not below `nprocs`.
+    pub fn new(owners: &[usize], nprocs: usize) -> Self {
+        // Count each rank's parts, turn the counts into start offsets, then
+        // place every part at its rank's cursor. The cursors end one rank
+        // ahead, so shifting them back by one slot restores the offsets.
+        let mut start = vec![0usize; nprocs + 1];
+        for &rank in owners {
+            assert!(
+                rank < nprocs,
+                "owner {rank} outside a {nprocs}-rank machine"
+            );
+            start[rank] += 1;
+        }
+        let mut sum = 0;
+        for s in &mut start {
+            (*s, sum) = (sum, sum + *s);
+        }
+        let mut parts = vec![0usize; owners.len()];
+        for (pid, &rank) in owners.iter().enumerate() {
+            parts[start[rank]] = pid;
+            start[rank] += 1;
+        }
+        start.copy_within(0..nprocs, 1);
+        start[0] = 0;
+        OwnerIndex { start, parts }
+    }
+
+    /// The parts `rank` owns, in ascending part id (empty for a rank that
+    /// owns none, e.g. a dead one).
+    ///
+    /// # Panics
+    /// Panics if `rank` is not below the `nprocs` the index was built for.
+    pub fn parts_of(&self, rank: usize) -> &[usize] {
+        &self.parts[self.start[rank]..self.start[rank + 1]]
+    }
+}
+
 /// The ranks alive under `machine`'s fault plan (all of them without one).
 pub(crate) fn alive_ranks_of(machine: &Multicomputer) -> Vec<usize> {
     (0..machine.nprocs())
@@ -746,6 +801,88 @@ mod tests {
         assert!([0, 1, 3].contains(&owners[2]), "owners = {owners:?}");
         // Determinism: same inputs, same placement.
         assert_eq!(owners, assign_owners(&part, &[0, 1, 3]));
+    }
+
+    /// Every partition family at 12 parts over a 30×26 array.
+    fn families() -> Vec<Box<dyn Partition>> {
+        use crate::partition::{BalancedRows, BlockCyclic};
+        let mut a = Dense2D::zeros(30, 26);
+        for i in 0..120 {
+            a.set((i * 7) % 30, (i * 11 + i / 30) % 26, 1.0 + i as f64);
+        }
+        vec![
+            Box::new(RowBlock::new(30, 26, 12)),
+            Box::new(ColBlock::new(30, 26, 12)),
+            Box::new(RowCyclic::new(30, 26, 12)),
+            Box::new(ColCyclic::new(30, 26, 12)),
+            Box::new(Mesh2D::new(30, 26, 3, 4)),
+            Box::new(BlockCyclic::new(30, 26, 2, 3, 3, 4)),
+            Box::new(BalancedRows::contiguous(&a, 12)),
+            Box::new(BalancedRows::bin_packed(&a, 12)),
+        ]
+    }
+
+    /// Alive-rank sets over `p` ranks: everyone, seeded random deaths
+    /// (always leaving a survivor), and each all-but-one case.
+    fn alive_sets(p: usize) -> Vec<Vec<usize>> {
+        let mut sets = vec![(0..p).collect::<Vec<_>>()];
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        for _ in 0..24 {
+            let mut alive = Vec::new();
+            for r in 0..p {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                if x % 3 != 0 {
+                    alive.push(r);
+                }
+            }
+            if alive.is_empty() {
+                alive.push((x % p as u64) as usize);
+            }
+            sets.push(alive);
+        }
+        sets.extend((0..p).map(|r| vec![r]));
+        sets
+    }
+
+    #[test]
+    fn owner_index_inverts_every_owner_map() {
+        for part in families() {
+            let p = part.nparts();
+            for alive in alive_sets(p) {
+                let owners = assign_owners(part.as_ref(), &alive);
+                let index = OwnerIndex::new(&owners, p);
+                let mut seen = Vec::new();
+                for r in 0..p {
+                    let scan: Vec<usize> = (0..p).filter(|&pid| owners[pid] == r).collect();
+                    assert_eq!(index.parts_of(r), scan, "{part:?} alive {alive:?} rank {r}");
+                    if !alive.contains(&r) {
+                        assert!(index.parts_of(r).is_empty(), "dead rank {r} owns parts");
+                    }
+                    seen.extend_from_slice(index.parts_of(r));
+                }
+                seen.sort_unstable();
+                assert_eq!(seen, (0..p).collect::<Vec<_>>(), "{part:?} alive {alive:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn owner_index_handles_more_ranks_than_parts() {
+        let index = OwnerIndex::new(&[3, 0, 3, 3], 6);
+        assert_eq!(index.parts_of(0), [1]);
+        assert_eq!(index.parts_of(3), [0, 2, 3]);
+        for r in [1, 2, 4, 5] {
+            assert!(index.parts_of(r).is_empty());
+        }
+        assert!(OwnerIndex::new(&[], 0).parts.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a 2-rank machine")]
+    fn owner_index_rejects_an_owner_beyond_the_machine() {
+        let _ = OwnerIndex::new(&[0, 2], 2);
     }
 
     #[test]

@@ -35,8 +35,8 @@ use crate::error::SparsedistError;
 use crate::opcount::OpCounter;
 use crate::partition::Partition;
 use crate::schemes::{
-    alive_ranks_of, assign_owners, collect_parts, map_parts_counted, SchemeConfig, SchemeKind,
-    SchemeRun, SOURCE,
+    alive_ranks_of, assign_owners, collect_parts, map_parts_counted, OwnerIndex, SchemeConfig,
+    SchemeKind, SchemeRun, SOURCE,
 };
 use sparsedist_multicomputer::{CommError, Env, Multicomputer, PackBuffer, Phase};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -442,6 +442,7 @@ struct PlainCtx<'a, S: SchemeStages> {
     stages: &'a S,
     nparts: usize,
     owners: &'a [usize],
+    index: &'a OwnerIndex,
     config: SchemeConfig,
 }
 
@@ -464,10 +465,7 @@ fn plain_task<'e, S: SchemeStages>(
                 source_staged(env, ctx.stages, ctx.nparts, ctx.owners, ctx.config)?;
             }
         }
-        let mine: Vec<usize> = (0..ctx.nparts)
-            .filter(|&pid| ctx.owners[pid] == me)
-            .collect();
-        receive_parts(env, ctx.stages, &mine, ctx.config).await
+        receive_parts(env, ctx.stages, ctx.index.parts_of(me), ctx.config).await
     })
 }
 
@@ -496,10 +494,12 @@ pub(crate) fn run_pipeline<S: SchemeStages>(
     }
     let nparts = part.nparts();
     let owners = assign_owners(part, &alive_ranks_of(machine));
+    let index = OwnerIndex::new(&owners, machine.nprocs());
     let ctx = PlainCtx {
         stages,
         nparts,
         owners: &owners,
+        index: &index,
         config,
     };
     let (results, ledgers) = machine.run_tasks_with_ledgers(&ctx, |ctx, env| plain_task(ctx, env));
@@ -993,6 +993,62 @@ mod tests {
             a.set((i * 7) % 64, (i * 13 + i / 64) % 64, 1.0 + i as f64);
         }
         (a, RowBlock::new(64, 64, 8))
+    }
+
+    /// FNV-1a 64 fold of `bytes` into `h`.
+    fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    #[test]
+    fn survivors_owning_several_parts_keep_their_ledgers() {
+        // Digests of the ledgers (their `Debug` rendering: shortest
+        // round-trip f64s, so equal digests mean bit-identical ledgers)
+        // this layout produced when every rank scanned the owner map for
+        // its parts. The owner index must hand each survivor the same
+        // parts in the same order, so nothing may move.
+        const PINNED: [(SchemeKind, u64); 3] = [
+            (SchemeKind::Sfc, 0x6a21_303a_a858_9af1),
+            (SchemeKind::Cfs, 0x931f_ddfd_2f50_3d92),
+            (SchemeKind::Ed, 0x21d5_bc4b_0c80_3482),
+        ];
+        let (a, part) = scattered();
+        let parallel = SchemeConfig {
+            parallel: true,
+            ..SchemeConfig::default()
+        };
+        for (scheme, pinned) in PINNED {
+            let mut h = 0xcbf2_9ce4_8422_2325;
+            // Four survivors owning two parts each; then two owning four.
+            for dead in [&[2, 3, 5, 6][..], &[1, 2, 3, 4, 5, 6]] {
+                let plan = dead
+                    .iter()
+                    .fold(FaultPlan::new(11), |p, &r| p.with_dead_rank(r));
+                let m = sp2(8).with_faults(plan);
+                for kind in [CompressKind::Crs, CompressKind::Ccs] {
+                    let seq = run(scheme, &m, &a, &part, kind, SchemeConfig::default());
+                    let par = run(scheme, &m, &a, &part, kind, parallel);
+                    let most = (0..8)
+                        .map(|r| seq.owners.iter().filter(|&&o| o == r).count())
+                        .max();
+                    assert_eq!(most, Some(8 / (8 - dead.len())), "{scheme} {kind}");
+                    assert_eq!(seq.reassemble(&part), a, "{scheme} {kind}");
+                    assert_eq!(par.reassemble(&part), a, "{scheme} {kind}");
+                    assert_eq!(par.owners, seq.owners, "{scheme} {kind}");
+                    assert_eq!(par.locals, seq.locals, "{scheme} {kind}");
+                    // The batched receive waits for all its parts before
+                    // decoding, so the two ledgers differ in `Wait`; each
+                    // is pinned on its own.
+                    for r in [&seq, &par] {
+                        h = fnv1a(h, format!("{:?}", r.ledgers).as_bytes());
+                    }
+                }
+            }
+            assert_eq!(h, pinned, "{scheme}: ledgers moved (digest {h:#018x})");
+        }
     }
 
     // ------------------------------------------------------------------

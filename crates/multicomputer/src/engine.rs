@@ -877,12 +877,11 @@ impl Env {
         };
     }
 
-    /// The ranks that are alive under the current fault plan, ascending
-    /// (all ranks when no plan is installed).
-    pub fn alive_ranks(&self) -> Vec<usize> {
-        (0..self.nprocs)
-            .filter(|&r| !self.is_rank_dead(r))
-            .collect()
+    /// The lowest rank alive under the current fault plan, found without
+    /// allocating (O(1) when rank 0 is alive). `None` only if every rank
+    /// is dead.
+    pub fn lowest_alive_rank(&self) -> Option<usize> {
+        (0..self.nprocs).find(|&r| !self.is_rank_dead(r))
     }
 
     /// Current local clock reading.
@@ -2290,12 +2289,21 @@ mod tests {
     fn alive_ranks_reflect_plan() {
         let plan = FaultPlan::new(0).with_dead_rank(0).with_dead_rank(2);
         let m = Multicomputer::virtual_machine(4, model()).with_faults(plan);
-        let alive = m.run(|env| (env.alive_ranks(), env.is_rank_dead(env.rank())));
-        assert_eq!(alive[1].0, vec![1, 3]);
+        let alive = m.run(|env| (env.lowest_alive_rank(), env.is_rank_dead(env.rank())));
         assert_eq!(
-            alive.iter().map(|(_, dead)| *dead).collect::<Vec<_>>(),
-            vec![true, false, true, false]
+            alive,
+            vec![
+                (Some(1), true),
+                (Some(1), false),
+                (Some(1), true),
+                (Some(1), false)
+            ]
         );
+        let healthy = Multicomputer::virtual_machine(3, model());
+        assert_eq!(healthy.run(|env| env.lowest_alive_rank()), vec![Some(0); 3]);
+        let all_dead = (0..3).fold(FaultPlan::new(0), |p, r| p.with_dead_rank(r));
+        let doomed = Multicomputer::virtual_machine(3, model()).with_faults(all_dead);
+        assert_eq!(doomed.run(|env| env.lowest_alive_rank()), vec![None; 3]);
     }
 
     #[test]
