@@ -212,9 +212,8 @@ fn check_procs(procs: usize) -> Result<(), CmdError> {
     Ok(())
 }
 
-/// Reject `--procs` above the threaded engine's cap for work that runs on
-/// that backend: SpMV, gather and redistribute, or a forced `--engine
-/// threaded`.
+/// Reject `--procs` above the threaded engine's cap when `--engine
+/// threaded` forces that backend.
 fn check_threaded_procs(procs: usize) -> Result<(), CmdError> {
     let max = EngineKind::Threaded.max_procs();
     if procs > max {
@@ -876,7 +875,6 @@ pub fn spmv(p: &Parsed) -> Result<String, CmdError> {
     let path = p.positional(0, "input file").map_err(|e| e.to_string())?;
     let a = load(path)?;
     let procs = procs_flag(p, 4)?;
-    check_threaded_procs(procs)?;
     let scheme = parse_scheme(p.flag_or("scheme", "ed"))?;
     let part = build_partition(p, a.rows(), a.cols(), procs)?;
     let machine = build_machine(p, procs, MachineModel::ibm_sp2())?;
@@ -932,7 +930,6 @@ pub fn restore_cmd(p: &Parsed) -> Result<String, CmdError> {
         .positional(1, "output .mtx path")
         .map_err(|e| e.to_string())?;
     let procs = procs_flag(p, 4)?;
-    check_threaded_procs(procs)?;
     let rows = p.usize_or("rows", 0).map_err(|e| e.to_string())?;
     let cols = p.usize_or("cols", rows).map_err(|e| e.to_string())?;
     if rows == 0 {
@@ -960,7 +957,6 @@ pub fn pipeline_cmd(p: &Parsed) -> Result<String, CmdError> {
     let path = p.positional(0, "input file").map_err(|e| e.to_string())?;
     let a = load(path)?;
     let procs = procs_flag(p, 4)?;
-    check_threaded_procs(procs)?;
     let grid = mesh_grid(p, procs)?;
     let machine = build_machine(p, procs, MachineModel::ibm_sp2())?;
     let mut out = String::new();
@@ -1265,25 +1261,33 @@ mod tests {
     }
 
     #[test]
-    fn procs_above_the_threaded_cap_is_a_typed_error_for_spmv() {
+    fn spmv_runs_above_the_threaded_cap_unless_threaded_is_forced() {
         let path = tmp("gen_procs_spmv.mtx");
         crate::run(&argv(&format!("gen {path} --rows 16 --ratio 0.2"))).unwrap();
-        // SpMV's collectives still run on the threaded engine; beyond its
-        // cap the CLI names the limit instead of panicking in the engine.
-        let err = crate::run(&argv(&format!("spmv {path} --procs 2048"))).unwrap_err();
-        assert!(err.contains("--procs 2048"), "{err}");
-        assert!(err.contains("1024-rank limit"), "{err}");
+        // Every SPMD program runs as rank tasks, so past the threaded
+        // executor's cap the auto engine moves to the event loop and the
+        // product is the same as on a small machine.
+        let big = crate::run(&argv(&format!("spmv {path} --procs 2048"))).unwrap();
+        let small = crate::run(&argv(&format!("spmv {path} --procs 16"))).unwrap();
+        assert!(big.contains("over 2048 processors"), "{big}");
+        assert!(small.contains("over 16 processors"), "{small}");
+        // "y = A·1 over P processors: checksum C, ||y||_inf N, max compute …"
+        let y = |out: &str| {
+            let tail = out.split(": ").nth(1)?;
+            tail.split(", max compute").next().map(str::to_string)
+        };
+        assert!(y(&big).is_some_and(|s| s.starts_with("checksum")), "{big}");
+        assert_eq!(y(&big), y(&small));
+        // Forcing the threaded executor past its cap is a typed error.
         for cmd in [
-            format!("pipeline {path} --procs 2048"),
+            format!("spmv {path} --procs 2048 --engine threaded"),
             format!("distribute {path} --procs 2048 --engine threaded"),
             "chaos --seeds 1 --procs 2048 --engine threaded".to_string(),
         ] {
             let err = crate::run(&argv(&cmd)).unwrap_err();
+            assert!(err.contains("--procs 2048"), "{cmd}: {err}");
             assert!(err.contains("1024-rank limit"), "{cmd}: {err}");
         }
-        // Below the cap SpMV runs as before.
-        let out = crate::run(&argv(&format!("spmv {path} --procs 16"))).unwrap();
-        assert!(out.contains("over 16 processors"), "{out}");
     }
 
     #[test]

@@ -51,10 +51,8 @@ pub enum SparsedistError {
     /// distribute onto, so `--procs 0` is refused before any partition
     /// is built.
     EmptyMachine,
-    /// The operation runs on the threaded engine (one OS thread per rank),
-    /// whose processor cap sits below the event loop's ceiling: SpMV,
-    /// gather and redistribute until they move onto rank tasks, and any
-    /// run that forces the threaded backend.
+    /// The run forces the threaded engine (one OS thread per rank), whose
+    /// processor cap sits below the event loop's ceiling.
     ThreadedEngineLimit {
         /// The requested processor count.
         procs: usize,
@@ -108,7 +106,7 @@ impl fmt::Display for SparsedistError {
                 write!(
                     f,
                     "--procs {procs} exceeds the threaded engine's {max}-rank limit \
-                     (SpMV, gather, redistribute and --engine threaded run on it)"
+                     (drop --engine threaded to run on the event loop)"
                 )
             }
             SparsedistError::Io { path, message } => {

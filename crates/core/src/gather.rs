@@ -23,7 +23,9 @@ use crate::opcount::OpCounter;
 use crate::partition::Partition;
 use crate::schemes::{alive_ranks_of, assign_owners, OwnerIndex};
 use sparsedist_multicomputer::pack::UnpackError;
-use sparsedist_multicomputer::{Multicomputer, PackBuffer, Phase, PhaseLedger, VirtualTime};
+use sparsedist_multicomputer::{
+    Env, Multicomputer, PackBuffer, Phase, PhaseLedger, TaskFuture, VirtualTime,
+};
 
 /// How the local arrays travel back to the source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,6 +87,258 @@ fn globalise(
     }
 }
 
+/// Everything a gather rank task needs, threaded through
+/// [`Multicomputer::run_tasks_with_ledgers`]'s context parameter.
+struct GatherCtx<'a> {
+    locals: &'a [LocalCompressed],
+    part: &'a dyn Partition,
+    kind: CompressKind,
+    strategy: GatherStrategy,
+    owners: &'a [usize],
+    index: &'a OwnerIndex,
+}
+
+/// One rank of the gather: ship every owned part to rank 0 (exactly one
+/// — this rank's own — when every rank is alive); rank 0 then merges one
+/// message per part, arriving from each part's owner, into the global
+/// array. Returns the global array on rank 0 and `None` elsewhere.
+fn gather_task<'e>(
+    ctx: &'e GatherCtx<'_>,
+    env: &'e mut Env,
+) -> TaskFuture<'e, Result<Option<LocalCompressed>, SparsedistError>> {
+    Box::pin(async move {
+        let me = env.rank();
+        if env.is_rank_dead(me) {
+            return Ok(None);
+        }
+        for &pid in ctx.index.parts_of(me) {
+            let buf = env.phase(Phase::Pack, |env| {
+                let mut ops = OpCounter::new();
+                let buf = pack_part(ctx, pid, &mut ops);
+                env.charge_ops(ops.take());
+                buf
+            });
+            env.phase(Phase::Send, |env| env.send(0, buf))?;
+        }
+        if me != 0 {
+            return Ok(None);
+        }
+
+        let mut trips: Vec<(usize, usize, f64)> = Vec::new();
+        let mut ops = OpCounter::new();
+        for (src, &owner) in ctx.owners.iter().enumerate() {
+            let msg = env.recv_async(owner).await?;
+            env.phase(Phase::Unpack, |_env| {
+                unpack_part(ctx, src, &msg.payload, &mut trips, &mut ops)
+            })?;
+        }
+        env.phase(Phase::Unpack, |env| env.charge_ops(ops.take()));
+
+        // Build the global compressed array.
+        let (grows, gcols) = ctx.part.global_shape();
+        Ok(Some(env.phase(Phase::Compress, |env| {
+            let mut ops = OpCounter::new();
+            let global = match ctx.kind {
+                CompressKind::Crs => {
+                    LocalCompressed::Crs(Crs::from_triplets(grows, gcols, &trips, &mut ops))
+                }
+                CompressKind::Ccs => {
+                    LocalCompressed::Ccs(Ccs::from_triplets(grows, gcols, &trips, &mut ops))
+                }
+            };
+            env.charge_ops(ops.take());
+            global
+        })))
+    })
+}
+
+/// Pack part `pid`'s local array for the trip back to the source, in
+/// the strategy's layout, counting the work in `ops`.
+fn pack_part(ctx: &GatherCtx<'_>, pid: usize, ops: &mut OpCounter) -> PackBuffer {
+    let GatherCtx {
+        locals,
+        part,
+        kind,
+        strategy,
+        ..
+    } = *ctx;
+    match strategy {
+        GatherStrategy::Dense => {
+            let dense = locals[pid].to_dense();
+            let (lr, lc) = (dense.rows(), dense.cols());
+            let mut buf = PackBuffer::with_capacity(lr * lc);
+            for r in 0..lr {
+                buf.push_f64_slice(dense.row(r));
+            }
+            // Expansion cost: one op per cell written.
+            ops.add((lr * lc) as u64);
+            buf
+        }
+        GatherStrategy::Compressed => {
+            // Ship count + (travelling-global index, value) runs per
+            // segment pointer, i.e. the CFS layout in reverse:
+            // pointer array then indices (globalised) then values.
+            let mut buf = PackBuffer::new();
+            match &locals[pid] {
+                LocalCompressed::Crs(a) => {
+                    buf.push_usize_slice(a.ro());
+                    ops.add(a.ro().len() as u64);
+                    for (lr, lc, _) in a.iter() {
+                        let g = globalise(part, pid, kind, lr, lc, ops);
+                        buf.push_u64(g as u64);
+                        ops.tick();
+                    }
+                    buf.push_f64_slice(a.vl());
+                    ops.add(a.vl().len() as u64);
+                }
+                LocalCompressed::Ccs(a) => {
+                    buf.push_usize_slice(a.cp());
+                    ops.add(a.cp().len() as u64);
+                    for (lr, lc, _) in a.iter() {
+                        let g = globalise(part, pid, kind, lr, lc, ops);
+                        buf.push_u64(g as u64);
+                        ops.tick();
+                    }
+                    buf.push_f64_slice(a.vl());
+                    ops.add(a.vl().len() as u64);
+                }
+            }
+            buf
+        }
+        GatherStrategy::Encoded => {
+            // ED layout per segment: count, then (global index,
+            // value) pairs.
+            let mut buf = PackBuffer::new();
+            match &locals[pid] {
+                LocalCompressed::Crs(a) => {
+                    for r in 0..a.rows() {
+                        buf.push_u64(a.row_nnz(r) as u64);
+                        ops.tick();
+                        for (&c, &v) in a.row_cols(r).iter().zip(a.row_vals(r)) {
+                            let g = globalise(part, pid, kind, r, c, ops);
+                            buf.push_u64(g as u64);
+                            buf.push_f64(v);
+                            ops.add(2);
+                        }
+                    }
+                }
+                LocalCompressed::Ccs(a) => {
+                    for c in 0..a.cols() {
+                        buf.push_u64(a.col_nnz(c) as u64);
+                        ops.tick();
+                        for (&r, &v) in a.col_rows(c).iter().zip(a.col_vals(c)) {
+                            let g = globalise(part, pid, kind, r, c, ops);
+                            buf.push_u64(g as u64);
+                            buf.push_f64(v);
+                            ops.add(2);
+                        }
+                    }
+                }
+            }
+            buf
+        }
+    }
+}
+
+/// Merge part `src`'s message, in the strategy's layout, into global
+/// triplets, counting the work in `ops`.
+fn unpack_part(
+    ctx: &GatherCtx<'_>,
+    src: usize,
+    payload: &PackBuffer,
+    trips: &mut Vec<(usize, usize, f64)>,
+    ops: &mut OpCounter,
+) -> Result<(), SparsedistError> {
+    let GatherCtx {
+        part,
+        kind,
+        strategy,
+        ..
+    } = *ctx;
+    let mut cursor = payload.cursor();
+    let (lrows, lcols) = part.local_shape(src);
+    match strategy {
+        GatherStrategy::Dense => {
+            for lr in 0..lrows {
+                for lc in 0..lcols {
+                    let v = cursor.try_read_f64()?;
+                    ops.tick();
+                    if v != 0.0 {
+                        let (gr, gc) = part.to_global(src, lr, lc);
+                        trips.push((gr, gc, v));
+                        ops.add(2);
+                    }
+                }
+            }
+        }
+        GatherStrategy::Compressed => {
+            let nsegs = match kind {
+                CompressKind::Crs => lrows,
+                CompressKind::Ccs => lcols,
+            };
+            let pointer = cursor.try_read_usize_vec(nsegs + 1)?;
+            ops.add((nsegs + 1) as u64);
+            let nnz = pointer[nsegs];
+            let travelling = cursor.try_read_usize_vec(nnz)?;
+            let values = cursor.try_read_f64_vec(nnz)?;
+            ops.add(2 * nnz as u64);
+            let mut k = 0;
+            for seg in 0..nsegs {
+                for _ in pointer[seg]..pointer[seg + 1] {
+                    let (gr, gc) = match kind {
+                        CompressKind::Crs => {
+                            let (gr, _) = part.to_global(src, seg, 0);
+                            (gr, travelling[k])
+                        }
+                        CompressKind::Ccs => {
+                            let (_, gc) = part.to_global(src, 0, seg);
+                            (travelling[k], gc)
+                        }
+                    };
+                    trips.push((gr, gc, values[k]));
+                    ops.tick();
+                    k += 1;
+                }
+            }
+        }
+        GatherStrategy::Encoded => {
+            let nsegs = match kind {
+                CompressKind::Crs => lrows,
+                CompressKind::Ccs => lcols,
+            };
+            for seg in 0..nsegs {
+                let count = cursor.try_read_usize()?;
+                ops.tick();
+                for _ in 0..count {
+                    let g = cursor.try_read_usize()?;
+                    let v = cursor.try_read_f64()?;
+                    ops.add(2);
+                    let (gr, gc) = match kind {
+                        CompressKind::Crs => {
+                            let (gr, _) = part.to_global(src, seg, 0);
+                            (gr, g)
+                        }
+                        CompressKind::Ccs => {
+                            let (_, gc) = part.to_global(src, 0, seg);
+                            (g, gc)
+                        }
+                    };
+                    trips.push((gr, gc, v));
+                    ops.tick();
+                }
+            }
+        }
+    }
+    if !cursor.is_exhausted() {
+        return Err(UnpackError {
+            at: 0,
+            remaining: cursor.remaining(),
+        }
+        .into());
+    }
+    Ok(())
+}
+
 /// Gather `locals` (owned under `part`) back to rank 0 as one global
 /// compressed array.
 ///
@@ -136,220 +390,20 @@ pub fn gather_global(
             l.kind()
         );
     }
-    let (grows, gcols) = part.global_shape();
     if machine.fault_plan().is_some_and(|pl| pl.is_dead(0)) {
         return Err(SparsedistError::SourceDead { rank: 0 });
     }
     let owners = assign_owners(part, &alive_ranks_of(machine));
     let index = OwnerIndex::new(&owners, p);
-    let owners_ref = &owners;
-
-    let (globals, ledgers) =
-        machine.run_with_ledgers(|env| -> Result<Option<LocalCompressed>, SparsedistError> {
-            let me = env.rank();
-            if env.is_rank_dead(me) {
-                return Ok(None);
-            }
-
-            // Sender side: build and ship one buffer per owned part (exactly
-            // one — this rank's own — when every rank is alive).
-            for &pid in index.parts_of(me) {
-                let buf = env.phase(Phase::Pack, |env| {
-                    let mut ops = OpCounter::new();
-                    let buf = match strategy {
-                        GatherStrategy::Dense => {
-                            let dense = locals[pid].to_dense();
-                            let (lr, lc) = (dense.rows(), dense.cols());
-                            let mut buf = PackBuffer::with_capacity(lr * lc);
-                            for r in 0..lr {
-                                buf.push_f64_slice(dense.row(r));
-                            }
-                            // Expansion cost: one op per cell written.
-                            ops.add((lr * lc) as u64);
-                            buf
-                        }
-                        GatherStrategy::Compressed => {
-                            // Ship count + (travelling-global index, value) runs per
-                            // segment pointer, i.e. the CFS layout in reverse:
-                            // pointer array then indices (globalised) then values.
-                            let mut buf = PackBuffer::new();
-                            match &locals[pid] {
-                                LocalCompressed::Crs(a) => {
-                                    buf.push_usize_slice(a.ro());
-                                    ops.add(a.ro().len() as u64);
-                                    for (lr, lc, _) in a.iter() {
-                                        let g = globalise(part, pid, kind, lr, lc, &mut ops);
-                                        buf.push_u64(g as u64);
-                                        ops.tick();
-                                    }
-                                    buf.push_f64_slice(a.vl());
-                                    ops.add(a.vl().len() as u64);
-                                }
-                                LocalCompressed::Ccs(a) => {
-                                    buf.push_usize_slice(a.cp());
-                                    ops.add(a.cp().len() as u64);
-                                    for (lr, lc, _) in a.iter() {
-                                        let g = globalise(part, pid, kind, lr, lc, &mut ops);
-                                        buf.push_u64(g as u64);
-                                        ops.tick();
-                                    }
-                                    buf.push_f64_slice(a.vl());
-                                    ops.add(a.vl().len() as u64);
-                                }
-                            }
-                            buf
-                        }
-                        GatherStrategy::Encoded => {
-                            // ED layout per segment: count, then (global index,
-                            // value) pairs.
-                            let mut buf = PackBuffer::new();
-                            match &locals[pid] {
-                                LocalCompressed::Crs(a) => {
-                                    for r in 0..a.rows() {
-                                        buf.push_u64(a.row_nnz(r) as u64);
-                                        ops.tick();
-                                        for (&c, &v) in a.row_cols(r).iter().zip(a.row_vals(r)) {
-                                            let g = globalise(part, pid, kind, r, c, &mut ops);
-                                            buf.push_u64(g as u64);
-                                            buf.push_f64(v);
-                                            ops.add(2);
-                                        }
-                                    }
-                                }
-                                LocalCompressed::Ccs(a) => {
-                                    for c in 0..a.cols() {
-                                        buf.push_u64(a.col_nnz(c) as u64);
-                                        ops.tick();
-                                        for (&r, &v) in a.col_rows(c).iter().zip(a.col_vals(c)) {
-                                            let g = globalise(part, pid, kind, r, c, &mut ops);
-                                            buf.push_u64(g as u64);
-                                            buf.push_f64(v);
-                                            ops.add(2);
-                                        }
-                                    }
-                                }
-                            }
-                            buf
-                        }
-                    };
-                    env.charge_ops(ops.take());
-                    buf
-                });
-                env.phase(Phase::Send, |env| env.send(0, buf))?;
-            }
-
-            if me != 0 {
-                return Ok(None);
-            }
-
-            // Source side: merge one message per part (arriving from each
-            // part's owner) into global triplets.
-            let mut trips: Vec<(usize, usize, f64)> = Vec::new();
-            let mut ops = OpCounter::new();
-            for (src, &owner) in owners_ref.iter().enumerate().take(p) {
-                let msg = env.recv(owner)?;
-                env.phase(Phase::Unpack, |_env| -> Result<(), SparsedistError> {
-                    let mut cursor = msg.payload.cursor();
-                    let (lrows, lcols) = part.local_shape(src);
-                    match strategy {
-                        GatherStrategy::Dense => {
-                            for lr in 0..lrows {
-                                for lc in 0..lcols {
-                                    let v = cursor.try_read_f64()?;
-                                    ops.tick();
-                                    if v != 0.0 {
-                                        let (gr, gc) = part.to_global(src, lr, lc);
-                                        trips.push((gr, gc, v));
-                                        ops.add(2);
-                                    }
-                                }
-                            }
-                        }
-                        GatherStrategy::Compressed => {
-                            let nsegs = match kind {
-                                CompressKind::Crs => lrows,
-                                CompressKind::Ccs => lcols,
-                            };
-                            let pointer = cursor.try_read_usize_vec(nsegs + 1)?;
-                            ops.add((nsegs + 1) as u64);
-                            let nnz = pointer[nsegs];
-                            let travelling = cursor.try_read_usize_vec(nnz)?;
-                            let values = cursor.try_read_f64_vec(nnz)?;
-                            ops.add(2 * nnz as u64);
-                            let mut k = 0;
-                            for seg in 0..nsegs {
-                                for _ in pointer[seg]..pointer[seg + 1] {
-                                    let (gr, gc) = match kind {
-                                        CompressKind::Crs => {
-                                            let (gr, _) = part.to_global(src, seg, 0);
-                                            (gr, travelling[k])
-                                        }
-                                        CompressKind::Ccs => {
-                                            let (_, gc) = part.to_global(src, 0, seg);
-                                            (travelling[k], gc)
-                                        }
-                                    };
-                                    trips.push((gr, gc, values[k]));
-                                    ops.tick();
-                                    k += 1;
-                                }
-                            }
-                        }
-                        GatherStrategy::Encoded => {
-                            let nsegs = match kind {
-                                CompressKind::Crs => lrows,
-                                CompressKind::Ccs => lcols,
-                            };
-                            for seg in 0..nsegs {
-                                let count = cursor.try_read_usize()?;
-                                ops.tick();
-                                for _ in 0..count {
-                                    let g = cursor.try_read_usize()?;
-                                    let v = cursor.try_read_f64()?;
-                                    ops.add(2);
-                                    let (gr, gc) = match kind {
-                                        CompressKind::Crs => {
-                                            let (gr, _) = part.to_global(src, seg, 0);
-                                            (gr, g)
-                                        }
-                                        CompressKind::Ccs => {
-                                            let (_, gc) = part.to_global(src, 0, seg);
-                                            (g, gc)
-                                        }
-                                    };
-                                    trips.push((gr, gc, v));
-                                    ops.tick();
-                                }
-                            }
-                        }
-                    }
-                    if !cursor.is_exhausted() {
-                        return Err(UnpackError {
-                            at: 0,
-                            remaining: cursor.remaining(),
-                        }
-                        .into());
-                    }
-                    Ok(())
-                })?;
-            }
-            env.phase(Phase::Unpack, |env| env.charge_ops(ops.take()));
-
-            // Build the global compressed array.
-            Ok(Some(env.phase(Phase::Compress, |env| {
-                let mut ops = OpCounter::new();
-                let global = match kind {
-                    CompressKind::Crs => {
-                        LocalCompressed::Crs(Crs::from_triplets(grows, gcols, &trips, &mut ops))
-                    }
-                    CompressKind::Ccs => {
-                        LocalCompressed::Ccs(Ccs::from_triplets(grows, gcols, &trips, &mut ops))
-                    }
-                };
-                env.charge_ops(ops.take());
-                global
-            })))
-        });
+    let ctx = GatherCtx {
+        locals,
+        part,
+        kind,
+        strategy,
+        owners: &owners,
+        index: &index,
+    };
+    let (globals, ledgers) = machine.run_tasks_with_ledgers(&ctx, |ctx, env| gather_task(ctx, env));
 
     let mut iter = globals.into_iter();
     let global = match iter.next() {

@@ -29,7 +29,9 @@ use crate::opcount::OpCounter;
 use crate::partition::Partition;
 use crate::schemes::{alive_ranks_of, assign_owners, collect_parts, OwnerIndex};
 use sparsedist_multicomputer::pack::UnpackError;
-use sparsedist_multicomputer::{Multicomputer, PackBuffer, Phase, PhaseLedger, VirtualTime};
+use sparsedist_multicomputer::{
+    Env, Multicomputer, PackBuffer, Phase, PhaseLedger, TaskFuture, VirtualTime,
+};
 
 /// How the nonzeros are routed to their new owners.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,6 +161,179 @@ fn build_local(
     }
 }
 
+/// Everything a redistribution rank task needs, threaded through
+/// [`Multicomputer::run_tasks_with_ledgers`]'s context parameter.
+struct RedistCtx<'a> {
+    locals: &'a [LocalCompressed],
+    from: &'a dyn Partition,
+    to: &'a dyn Partition,
+    kind: CompressKind,
+    strategy: RedistStrategy,
+    /// The `ViaSource` hub: the lowest alive rank.
+    hub: usize,
+    alive: &'a [usize],
+    to_owners: &'a [usize],
+    from_index: &'a OwnerIndex,
+    to_index: &'a OwnerIndex,
+}
+
+/// One rank of the redistribution: bucket every nonzero this rank holds
+/// by target part, route the buckets (all-to-all or through the hub), and
+/// rebuild the target parts this rank owns.
+fn redistribute_task<'e>(
+    ctx: &'e RedistCtx<'_>,
+    env: &'e mut Env,
+) -> TaskFuture<'e, Result<Vec<(usize, LocalCompressed)>, SparsedistError>> {
+    Box::pin(async move {
+        let me = env.rank();
+        let p = env.nprocs();
+        env.trace_scope("redistribute");
+        if env.is_rank_dead(me) {
+            return Ok(Vec::new());
+        }
+        // Bucket every nonzero this rank holds (all its owned `from` parts
+        // — exactly its own when every rank is alive) by target pid.
+        let buckets = env.phase(Phase::Pack, |env| {
+            let mut ops = OpCounter::new();
+            let mut buckets: Vec<Vec<(usize, usize, f64)>> = vec![Vec::new(); p];
+            for &fpid in ctx.from_index.parts_of(me) {
+                let local = &ctx.locals[fpid];
+                for (tpid, b) in bucket_by_new_owner(fpid, local, ctx.from, ctx.to, p, &mut ops)
+                    .into_iter()
+                    .enumerate()
+                {
+                    buckets[tpid].extend(b);
+                }
+            }
+            env.charge_ops(ops.take());
+            buckets
+        });
+        let to_mine = ctx.to_index.parts_of(me);
+
+        // The buckets are consumed before the first receive: a rank task
+        // parked on the event loop keeps only what it still needs.
+        let mut incoming: Vec<Vec<(usize, usize, f64)>> = vec![Vec::new(); to_mine.len()];
+        match ctx.strategy {
+            RedistStrategy::Direct => {
+                // All-to-all: pack + send one bucket per target part, to
+                // whichever rank owns it.
+                let bufs: Vec<PackBuffer> = env.phase(Phase::Pack, |env| {
+                    let mut ops = OpCounter::new();
+                    let bufs = buckets
+                        .into_iter()
+                        .map(|b| pack_bucket(&b, &mut ops))
+                        .collect();
+                    env.charge_ops(ops.take());
+                    bufs
+                });
+                env.phase(Phase::Send, |env| -> Result<(), SparsedistError> {
+                    for (tpid, buf) in bufs.into_iter().enumerate() {
+                        env.send(ctx.to_owners[tpid], buf)?;
+                    }
+                    Ok(())
+                })?;
+                for slot in incoming.iter_mut() {
+                    for &src in ctx.alive {
+                        let msg = env.recv_async(src).await?;
+                        let got = env.phase(Phase::Unpack, |env| {
+                            let mut ops = OpCounter::new();
+                            let got = unpack_bucket(&msg.payload, &mut ops);
+                            env.charge_ops(ops.take());
+                            got
+                        })?;
+                        slot.extend(got);
+                    }
+                }
+            }
+            RedistStrategy::ViaSource => {
+                // Leg 1: everyone ships all triplets to the hub, tagged by
+                // destination (p buckets concatenated with headers).
+                let buf = env.phase(Phase::Pack, |env| {
+                    let mut ops = OpCounter::new();
+                    let mut buf = PackBuffer::new();
+                    for b in buckets {
+                        let packed = pack_bucket(&b, &mut ops);
+                        // Concatenate: count + triplets per destination.
+                        let mut cursor = packed.cursor();
+                        let n = cursor.read_u64();
+                        buf.push_u64(n);
+                        for _ in 0..n {
+                            buf.push_u64(cursor.read_u64());
+                            buf.push_u64(cursor.read_u64());
+                            buf.push_f64(cursor.read_f64());
+                        }
+                    }
+                    env.charge_ops(ops.take());
+                    buf
+                });
+                env.phase(Phase::Send, |env| env.send(ctx.hub, buf))?;
+
+                if me == ctx.hub {
+                    // Hub: merge the per-destination streams and forward.
+                    let mut forward: Vec<Vec<(usize, usize, f64)>> = vec![Vec::new(); p];
+                    let mut ops = OpCounter::new();
+                    for &src in ctx.alive {
+                        let msg = env.recv_async(src).await?;
+                        merge_tagged(&msg.payload, &mut forward, &mut ops)?;
+                    }
+                    let bufs: Vec<PackBuffer> =
+                        forward.iter().map(|b| pack_bucket(b, &mut ops)).collect();
+                    env.phase(Phase::Unpack, |env| env.charge_ops(ops.take()));
+                    env.phase(Phase::Send, |env| -> Result<(), SparsedistError> {
+                        for (tpid, buf) in bufs.into_iter().enumerate() {
+                            env.send(ctx.to_owners[tpid], buf)?;
+                        }
+                        Ok(())
+                    })?;
+                }
+                // Leg 2: receive one forwarded bucket per owned target part.
+                for slot in incoming.iter_mut() {
+                    let msg = env.recv_async(ctx.hub).await?;
+                    *slot = env.phase(Phase::Unpack, |env| {
+                        let mut ops = OpCounter::new();
+                        let got = unpack_bucket(&msg.payload, &mut ops);
+                        env.charge_ops(ops.take());
+                        got
+                    })?;
+                }
+            }
+        }
+
+        let mut out = Vec::with_capacity(to_mine.len());
+        for (trips, &tpid) in incoming.into_iter().zip(to_mine) {
+            let local = env.phase(Phase::Compress, |env| {
+                let mut ops = OpCounter::new();
+                let local = build_local(tpid, trips, ctx.to, ctx.kind, &mut ops);
+                env.charge_ops(ops.take());
+                local
+            });
+            out.push((tpid, local));
+        }
+        Ok(out)
+    })
+}
+
+/// Hub side of `ViaSource`: append one sender's destination-tagged
+/// stream (per target part: count, then triplets) to `forward`.
+fn merge_tagged(
+    payload: &PackBuffer,
+    forward: &mut [Vec<(usize, usize, f64)>],
+    ops: &mut OpCounter,
+) -> Result<(), UnpackError> {
+    let mut cursor = payload.cursor();
+    for fwd in forward.iter_mut() {
+        let n = cursor.try_read_usize()?;
+        for _ in 0..n {
+            let r = cursor.try_read_usize()?;
+            let c = cursor.try_read_usize()?;
+            let v = cursor.try_read_f64()?;
+            ops.add(3);
+            fwd.push((r, c, v));
+        }
+    }
+    Ok(())
+}
+
 /// Redistribute `locals` (owned under `from`) to the partition `to`.
 ///
 /// Both partitions must describe the same global shape and the same
@@ -231,150 +406,20 @@ pub fn redistribute(
     let from_index = OwnerIndex::new(&assign_owners(from, &alive), p);
     let to_owners = assign_owners(to, &alive);
     let to_index = OwnerIndex::new(&to_owners, p);
-    let (alive_ref, to_ref) = (&alive, &to_owners);
-
-    let (results, ledgers) = machine.run_with_ledgers(
-        |env| -> Result<Vec<(usize, LocalCompressed)>, SparsedistError> {
-            let me = env.rank();
-            env.trace_scope("redistribute");
-            if env.is_rank_dead(me) {
-                return Ok(Vec::new());
-            }
-            // Bucket every nonzero this rank holds (all its owned `from`
-            // parts — exactly its own when every rank is alive) by target pid.
-            let from_mine = from_index.parts_of(me);
-            let buckets = env.phase(Phase::Pack, |env| {
-                let mut ops = OpCounter::new();
-                let mut buckets: Vec<Vec<(usize, usize, f64)>> = vec![Vec::new(); p];
-                for &fpid in from_mine {
-                    for (tpid, b) in bucket_by_new_owner(fpid, &locals[fpid], from, to, p, &mut ops)
-                        .into_iter()
-                        .enumerate()
-                    {
-                        buckets[tpid].extend(b);
-                    }
-                }
-                env.charge_ops(ops.take());
-                buckets
-            });
-            let to_mine = to_index.parts_of(me);
-
-            let mut incoming: Vec<Vec<(usize, usize, f64)>> = vec![Vec::new(); to_mine.len()];
-            match strategy {
-                RedistStrategy::Direct => {
-                    // All-to-all: pack + send one bucket per target part, to
-                    // whichever rank owns it.
-                    let bufs: Vec<PackBuffer> = env.phase(Phase::Pack, |env| {
-                        let mut ops = OpCounter::new();
-                        let bufs = buckets.iter().map(|b| pack_bucket(b, &mut ops)).collect();
-                        env.charge_ops(ops.take());
-                        bufs
-                    });
-                    env.phase(Phase::Send, |env| -> Result<(), SparsedistError> {
-                        for (tpid, buf) in bufs.into_iter().enumerate() {
-                            env.send(to_ref[tpid], buf)?;
-                        }
-                        Ok(())
-                    })?;
-                    for (slot, _tpid) in to_mine.iter().enumerate() {
-                        for &src in alive_ref {
-                            let msg = env.recv(src)?;
-                            let got = env.phase(Phase::Unpack, |env| {
-                                let mut ops = OpCounter::new();
-                                let got = unpack_bucket(&msg.payload, &mut ops);
-                                env.charge_ops(ops.take());
-                                got
-                            })?;
-                            incoming[slot].extend(got);
-                        }
-                    }
-                }
-                RedistStrategy::ViaSource => {
-                    // Leg 1: everyone ships all triplets to the hub, tagged by
-                    // destination (p buckets concatenated with headers).
-                    let buf = env.phase(Phase::Pack, |env| {
-                        let mut ops = OpCounter::new();
-                        let mut buf = PackBuffer::new();
-                        for b in &buckets {
-                            let packed = pack_bucket(b, &mut ops);
-                            // Concatenate: count + triplets per destination.
-                            let mut cursor = packed.cursor();
-                            let n = cursor.read_u64();
-                            buf.push_u64(n);
-                            for _ in 0..n {
-                                buf.push_u64(cursor.read_u64());
-                                buf.push_u64(cursor.read_u64());
-                                buf.push_f64(cursor.read_f64());
-                            }
-                        }
-                        env.charge_ops(ops.take());
-                        buf
-                    });
-                    env.phase(Phase::Send, |env| env.send(hub, buf))?;
-
-                    if me == hub {
-                        // Hub: merge the per-destination streams and forward.
-                        let mut forward: Vec<Vec<(usize, usize, f64)>> = vec![Vec::new(); p];
-                        let mut ops = OpCounter::new();
-                        for &src in alive_ref {
-                            let msg = env.recv(src)?;
-                            let merge =
-                                |cursor: &mut sparsedist_multicomputer::pack::UnpackCursor<'_>,
-                                 forward: &mut Vec<Vec<(usize, usize, f64)>>,
-                                 ops: &mut OpCounter|
-                                 -> Result<(), UnpackError> {
-                                    for fwd in forward.iter_mut() {
-                                        let n = cursor.try_read_usize()?;
-                                        for _ in 0..n {
-                                            let r = cursor.try_read_usize()?;
-                                            let c = cursor.try_read_usize()?;
-                                            let v = cursor.try_read_f64()?;
-                                            ops.add(3);
-                                            fwd.push((r, c, v));
-                                        }
-                                    }
-                                    Ok(())
-                                };
-                            let mut cursor = msg.payload.cursor();
-                            merge(&mut cursor, &mut forward, &mut ops)?;
-                        }
-                        let bufs: Vec<PackBuffer> =
-                            forward.iter().map(|b| pack_bucket(b, &mut ops)).collect();
-                        env.phase(Phase::Unpack, |env| env.charge_ops(ops.take()));
-                        env.phase(Phase::Send, |env| -> Result<(), SparsedistError> {
-                            for (tpid, buf) in bufs.into_iter().enumerate() {
-                                env.send(to_ref[tpid], buf)?;
-                            }
-                            Ok(())
-                        })?;
-                    }
-                    // Leg 2: receive one forwarded bucket per owned target part.
-                    for slot in incoming.iter_mut() {
-                        let msg = env.recv(hub)?;
-                        *slot = env.phase(Phase::Unpack, |env| {
-                            let mut ops = OpCounter::new();
-                            let got = unpack_bucket(&msg.payload, &mut ops);
-                            env.charge_ops(ops.take());
-                            got
-                        })?;
-                    }
-                }
-            }
-
-            let mut out = Vec::with_capacity(to_mine.len());
-            for (slot, &tpid) in to_mine.iter().enumerate() {
-                let trips = std::mem::take(&mut incoming[slot]);
-                let local = env.phase(Phase::Compress, |env| {
-                    let mut ops = OpCounter::new();
-                    let local = build_local(tpid, trips, to, kind, &mut ops);
-                    env.charge_ops(ops.take());
-                    local
-                });
-                out.push((tpid, local));
-            }
-            Ok(out)
-        },
-    );
+    let ctx = RedistCtx {
+        locals,
+        from,
+        to,
+        kind,
+        strategy,
+        hub,
+        alive: &alive,
+        to_owners: &to_owners,
+        from_index: &from_index,
+        to_index: &to_index,
+    };
+    let (results, ledgers) =
+        machine.run_tasks_with_ledgers(&ctx, |ctx, env| redistribute_task(ctx, env));
     let new_locals = collect_parts(results, p)?;
     Ok(RedistRun {
         strategy,

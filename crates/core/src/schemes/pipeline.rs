@@ -16,7 +16,7 @@
 //! [`SchemeStages`] captures the per-scheme hooks; [`run_pipeline`] is the
 //! one driver that composes them with owner maps, wire-format negotiation,
 //! host-side parallelism ([`map_parts_counted`]) and the fault-aware retry
-//! layer underneath `send`/`recv`. The scheme modules (`sfc.rs`, `cfs.rs`,
+//! layer underneath `send`/`recv_async`. The scheme modules (`sfc.rs`, `cfs.rs`,
 //! `ed.rs`) shrink to their hooks plus a phase-charging policy.
 //!
 //! # Invariants
@@ -38,15 +38,8 @@ use crate::schemes::{
     alive_ranks_of, assign_owners, collect_parts, map_parts_counted, OwnerIndex, SchemeConfig,
     SchemeKind, SchemeRun, SOURCE,
 };
-use sparsedist_multicomputer::{CommError, Env, Multicomputer, PackBuffer, Phase};
+use sparsedist_multicomputer::{CommError, Env, Multicomputer, PackBuffer, Phase, TaskFuture};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::future::Future;
-use std::pin::Pin;
-
-/// A rank task's boxed future, borrowing its context and [`Env`] for `'e`
-/// (the shape [`Multicomputer::run_tasks_with_ledgers`] expects back from
-/// its spawning closure).
-type TaskFuture<'e, T> = Pin<Box<dyn Future<Output = T> + 'e>>;
 
 /// How a scheme's source-side encode is charged to the virtual clock.
 pub(crate) enum SourcePolicy {

@@ -132,7 +132,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "D001",
         summary: "wall-clock time source in deterministic code",
-        hint: "derive time from the virtual clock / machine model; real time only in WallClock mode with a suppression",
+        hint: "derive time from the virtual clock / machine model; measure host time outside the clock-bearing modules",
         kind: RuleKind::Tokens(&["Instant", "SystemTime"]),
         include: CLOCK_BEARING,
         exclude: &[],
@@ -252,7 +252,9 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "C001",
         summary: "`.await` on a non-receive call (yield-point discipline)",
-        hint: "the event-loop engine parks tasks only at receives; await recv_async/recv_part/receive_parts/routed_receive (or the engine internals), never an arbitrary future",
+        hint: "the event-loop engine parks tasks only at receives; await recv_async/recv_part/receive_parts/routed_receive/allreduce_sum (or the engine internals), never an arbitrary future",
+        // Every listed async fn awaits nothing but receives (allreduce_sum:
+        // only `recv_async`), so awaiting one is a receive by proxy.
         kind: RuleKind::AwaitAllowlist(&[
             "recv_async",
             "next_frame_async",
@@ -261,6 +263,7 @@ pub const RULES: &[Rule] = &[
             "recv_part",
             "receive_parts",
             "routed_receive",
+            "allreduce_sum",
         ]),
         include: ALL_SRC,
         exclude: &[],

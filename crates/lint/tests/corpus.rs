@@ -395,7 +395,7 @@ fn workspace_suppressions_all_carry_reasons() {
     let report = sparsedist_lint::run(&root, &cfg).expect("workspace walk succeeds");
     assert!(report.suppression_total() > 0);
     assert!(
-        report.suppressions.contains_key("D001"),
+        report.suppressions.contains_key("E002"),
         "{:?}",
         report.suppressions
     );

@@ -1,22 +1,26 @@
-//! The SPMD engine: one thread per simulated processor, point-to-point
-//! message channels, and a per-processor clock.
+//! The SPMD engine: every simulated processor runs one rank task over
+//! point-to-point message links, with its own virtual clock.
 //!
-//! # Timing modes
+//! # Virtual time
 //!
-//! In **virtual mode** every cost is *charged*: [`Env::charge_ops`] advances
-//! the local clock by `n × T_Operation`, and [`Env::send`] advances it by
-//! `T_Startup + elems × T_Data`. A message records the sender's clock after
-//! the charge as its arrival time; [`Env::recv`] synchronises the
-//! receiver's clock to `max(local, arrival)` and books the jump as
+//! Every cost is *charged*: [`Env::charge_ops`] advances the local clock
+//! by `n × T_Operation`, and [`Env::send`] advances it by
+//! `T_Startup + elems × T_Data`. A message records the sender's clock
+//! after the charge as its arrival time; [`Env::recv_async`] synchronises
+//! the receiver's clock to `max(local, arrival)` and books the jump as
 //! [`Phase::Wait`]. Because the arrival times depend only on message
 //! causality, the resulting ledgers are fully deterministic no matter how
-//! the host schedules the threads.
+//! the host schedules the ranks.
 //!
-//! In **wall-clock mode** the clock is the host's monotonic clock; charges
-//! are no-ops (real work takes real time) and [`Env::phase`] measures the
-//! elapsed wall time of its body. An optional per-element wire delay can be
-//! injected into `send` to emulate an interconnect slower than shared
-//! memory.
+//! # One task API, two executors
+//!
+//! A rank program is an `async` function whose only suspension points are
+//! receives ([`Multicomputer::run_tasks`]). Up to
+//! [`EngineKind::max_procs`] ranks it runs on one OS thread per rank,
+//! where a receive blocks inside the poll; beyond that, or when forced,
+//! every rank is a task on the single-threaded event loop of
+//! [`crate::exec`]. Both executors share all charging, ARQ, fault and
+//! trace logic in [`Env`], so their ledgers are bit-identical.
 //!
 //! # Reliable delivery and fault injection
 //!
@@ -36,11 +40,11 @@
 //! Fault decisions are pure hashes of `(seed, src, dst, seq, attempt)`
 //! (see [`crate::fault`]), and the sender — which shares the plan — charges
 //! the same timeout the ack round-trip would have established. The
-//! simulation therefore stays deterministic in virtual mode: same plan,
-//! same ledgers, bit for bit. Faulted frames are still physically moved
-//! across the channel (tagged with their injected fate) so the blocking
-//! receiver always has something to reject; a `Drop` tag means "this frame
-//! never arrived" and is skipped without cost.
+//! simulation therefore stays deterministic: same plan, same ledgers, bit
+//! for bit. Faulted frames are still physically moved across the link
+//! (tagged with their injected fate) so the receiver always has something
+//! to reject; a `Drop` tag means "this frame never arrived" and is skipped
+//! without cost.
 //!
 //! The nonblocking path carries the same guarantees: under a plan,
 //! [`Env::isend`] runs the whole ARQ schedule *on the NIC timeline* —
@@ -53,20 +57,22 @@
 //! # Mid-run rank death and the watchdog
 //!
 //! A plan may schedule a rank to die at a virtual-time instant
-//! ([`FaultPlan::with_death_at`], CLI `die=R:T`). In virtual mode every
-//! send checks the frame's would-be arrival against the destination's
-//! death time: a frame that cannot land in time fails with
-//! [`CommError::PeerDead`] at the sender, and a *death notice* frame is
-//! pushed so the dying receiver observes its own death at the matching
-//! point in its stream — sender detection and receiver observation always
-//! agree, keeping recovery protocols deterministic.
+//! ([`FaultPlan::with_death_at`], CLI `die=R:T`). Every send checks the
+//! frame's would-be arrival against the destination's death time: a frame
+//! that cannot land in time fails with [`CommError::PeerDead`] at the
+//! sender, and a *death notice* frame is pushed so the dying receiver
+//! observes its own death at the matching point in its stream — sender
+//! detection and receiver observation always agree, keeping recovery
+//! protocols deterministic.
 //!
 //! Structurally the engine cannot hang on an early error: when a rank's
-//! closure returns, its channel senders drop and every peer blocked in
-//! `recv` gets [`CommError::Disconnected`]. [`Multicomputer::with_watchdog`]
-//! adds a belt-and-braces wall-clock bound for chaos harnesses: a `recv`
-//! that sees no frame within the limit returns [`CommError::Stalled`]
-//! instead of blocking forever. It only fires on protocol bugs.
+//! task returns, its links close and every peer waiting on it in a
+//! receive gets [`CommError::Disconnected`]. [`Multicomputer::with_watchdog`]
+//! adds a belt-and-braces wall-clock bound for chaos harnesses on the
+//! threaded executor: a receive that sees no frame within the limit
+//! returns [`CommError::Stalled`] instead of blocking forever (the event
+//! loop detects the same stall structurally). It only fires on protocol
+//! bugs.
 //!
 //! Without a plan the fast path is exactly the original engine: no CRC
 //! work, no acks, identical charges — the paper's tables are unaffected.
@@ -90,35 +96,6 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::time::Duration;
-// lint: allow(D001) — WallClock mode measures real elapsed time by design
-use std::time::Instant;
-
-/// How the machine keeps time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TimingMode {
-    /// Deterministic virtual-time accounting under an α-β model.
-    Virtual(MachineModel),
-    /// Real wall-clock measurement, with an optional injected wire cost of
-    /// `wire_ns_per_elem` nanoseconds per transmitted element (busy-wait at
-    /// the sender, emulating the wire occupancy of a real interconnect).
-    WallClock {
-        /// Injected per-element send cost in nanoseconds (0 = pure shared
-        /// memory).
-        wire_ns_per_elem: u64,
-        /// Injected per-message startup cost in nanoseconds.
-        wire_ns_startup: u64,
-    },
-}
-
-impl TimingMode {
-    /// Wall-clock mode with no injected wire cost.
-    pub fn wall() -> Self {
-        TimingMode::WallClock {
-            wire_ns_per_elem: 0,
-            wire_ns_startup: 0,
-        }
-    }
-}
 
 /// A communication failure surfaced by the engine instead of a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -189,24 +166,8 @@ pub struct Message {
     pub src: usize,
     /// The packed payload.
     pub payload: PackBuffer,
-    /// Sender-side clock at the moment transmission completed (virtual
-    /// mode only; `ZERO` in wall-clock mode).
+    /// Sender-side clock at the moment transmission completed.
     pub arrival: VirtualTime,
-}
-
-/// A posted nonblocking receive (see [`Env::irecv`]). Redeem it with
-/// [`Env::wait_recv`]; handles for the same source complete in FIFO order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[must_use = "an irecv completes nothing until passed to wait_recv"]
-pub struct RecvHandle {
-    src: usize,
-}
-
-impl RecvHandle {
-    /// The source rank this receive was posted against.
-    pub fn src(&self) -> usize {
-        self.src
-    }
 }
 
 /// What actually travels on a link: a framed payload with the metadata
@@ -253,10 +214,14 @@ enum Links {
     Event(Rc<EventFabric>),
 }
 
+/// One rank's task: a boxed future borrowing its context and [`Env`] for
+/// `'e` — what the closure handed to [`Multicomputer::run_tasks`] returns.
+pub type TaskFuture<'e, T> = Pin<Box<dyn Future<Output = T> + 'e>>;
+
 /// A simulated distributed-memory machine with `p` processors.
 pub struct Multicomputer {
     nprocs: usize,
-    mode: TimingMode,
+    model: MachineModel,
     topology: Topology,
     faults: Option<FaultPlan>,
     retry: RetryPolicy,
@@ -276,30 +241,15 @@ impl Multicomputer {
     /// A machine whose time is simulated under `model` (fully connected
     /// interconnect, as in the paper).
     pub fn virtual_machine(nprocs: usize, model: MachineModel) -> Self {
-        Multicomputer::with_topology(nprocs, TimingMode::Virtual(model), Topology::FullyConnected)
+        Multicomputer::virtual_with_topology(nprocs, model, Topology::FullyConnected)
     }
 
     /// A virtual machine on an explicit interconnect [`Topology`]; message
     /// costs become `T_Startup + hops·T_Hop + elems·T_Data`.
-    pub fn virtual_with_topology(nprocs: usize, model: MachineModel, topology: Topology) -> Self {
-        Multicomputer::with_topology(nprocs, TimingMode::Virtual(model), topology)
-    }
-
-    /// A machine measured with the host's wall clock.
-    pub fn wall_clock(nprocs: usize) -> Self {
-        Multicomputer::with_topology(nprocs, TimingMode::wall(), Topology::FullyConnected)
-    }
-
-    /// A machine with an explicit [`TimingMode`].
-    pub fn with_mode(nprocs: usize, mode: TimingMode) -> Self {
-        Multicomputer::with_topology(nprocs, mode, Topology::FullyConnected)
-    }
-
-    /// The fully general constructor.
     ///
     /// # Panics
     /// Panics if `nprocs` is zero or the topology's grid does not match.
-    pub fn with_topology(nprocs: usize, mode: TimingMode, topology: Topology) -> Self {
+    pub fn virtual_with_topology(nprocs: usize, model: MachineModel, topology: Topology) -> Self {
         assert!(nprocs > 0, "a multicomputer needs at least one processor");
         // Validate grid topologies eagerly (hops would panic lazily).
         if let Topology::Mesh2D { pr, pc } | Topology::Torus2D { pr, pc } = topology {
@@ -317,7 +267,7 @@ impl Multicomputer {
         );
         Multicomputer {
             nprocs,
-            mode,
+            model,
             topology,
             faults: None,
             retry: RetryPolicy::default(),
@@ -330,9 +280,7 @@ impl Multicomputer {
 
     /// Force the execution backend used by [`Multicomputer::run_tasks`] /
     /// [`Multicomputer::run_tasks_with_ledgers`] instead of auto-selecting
-    /// by machine size. [`EngineKind::EventLoop`] only models virtual
-    /// time; in wall-clock mode the choice falls back to the threaded
-    /// engine (see [`Multicomputer::task_engine`]).
+    /// by machine size.
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = Some(engine);
         self
@@ -340,24 +288,14 @@ impl Multicomputer {
 
     /// The backend a task run will actually use: the forced choice if one
     /// was installed, otherwise [`EngineKind::Threaded`] up to its
-    /// [`EngineKind::max_procs`] and [`EngineKind::EventLoop`] beyond —
-    /// with the caveat that wall-clock mode always keeps real threads
-    /// (there is no virtual timeline for the event loop to schedule).
-    ///
-    /// The closure-based [`Multicomputer::run`] /
-    /// [`Multicomputer::run_with_ledgers`] entry points are always
-    /// threaded: a synchronous closure has no yield points to schedule.
+    /// [`EngineKind::max_procs`] and [`EngineKind::EventLoop`] beyond.
     pub fn task_engine(&self) -> EngineKind {
-        let auto = if self.nprocs > EngineKind::Threaded.max_procs() {
-            EngineKind::EventLoop
-        } else {
-            EngineKind::Threaded
-        };
-        let kind = self.engine.unwrap_or(auto);
-        match (kind, self.mode) {
-            (EngineKind::EventLoop, TimingMode::Virtual(_)) => EngineKind::EventLoop,
-            _ => EngineKind::Threaded,
-        }
+        self.engine
+            .unwrap_or(if self.nprocs > EngineKind::Threaded.max_procs() {
+                EngineKind::EventLoop
+            } else {
+                EngineKind::Threaded
+            })
     }
 
     /// Rank `rank`'s buffer-reuse arena. The same arena is handed to that
@@ -381,10 +319,11 @@ impl Multicomputer {
         self
     }
 
-    /// Bound every blocking receive by a *wall-clock* watchdog: a `recv`
-    /// that sees no frame within `limit` returns [`CommError::Stalled`]
-    /// instead of blocking forever. The engine already cannot hang on an
-    /// early peer error (a returning rank drops its channels, unblocking
+    /// Bound every blocking receive of the threaded executor by a
+    /// *wall-clock* watchdog: a receive that sees no frame within `limit`
+    /// returns [`CommError::Stalled`] instead of blocking forever (the
+    /// event loop detects stalls structurally). The engine cannot hang on
+    /// an early peer error (a returning rank drops its channels, unblocking
     /// every peer with [`CommError::Disconnected`]), so the watchdog is a
     /// last-resort bound for chaos harnesses — it fires only on protocol
     /// bugs and never charges the virtual clock.
@@ -434,117 +373,13 @@ impl Multicomputer {
         self.nprocs
     }
 
-    /// The machine's timing mode.
-    pub fn mode(&self) -> TimingMode {
-        self.mode
-    }
-
-    /// The α-β machine model this machine charges by. Wall-clock runs
-    /// still expose the paper's IBM SP2 model so host-side decisions that
-    /// price bytes against operations (e.g. wire codec negotiation) have
-    /// coefficients to work with.
+    /// The α-β machine model this machine charges by.
     pub fn model(&self) -> MachineModel {
-        match self.mode {
-            TimingMode::Virtual(m) => m,
-            TimingMode::WallClock { .. } => MachineModel::ibm_sp2(),
-        }
+        self.model
     }
 
-    /// Run `f` in SPMD style on every processor and collect the return
-    /// values in rank order. Each invocation gets an [`Env`] holding that
-    /// rank's channels, clock and ledger.
-    ///
-    /// # Panics
-    /// Propagates a panic from any processor's closure.
-    pub fn run<F, R>(&self, f: F) -> Vec<R>
-    where
-        F: Fn(&mut Env) -> R + Sync,
-        R: Send,
-    {
-        self.run_with_ledgers(f).0
-    }
-
-    /// Like [`Multicomputer::run`], but also returns each rank's
-    /// [`PhaseLedger`] — the usual entry point for scheme drivers.
-    pub fn run_with_ledgers<F, R>(&self, f: F) -> (Vec<R>, Vec<PhaseLedger>)
-    where
-        F: Fn(&mut Env) -> R + Sync,
-        R: Send,
-    {
-        let p = self.nprocs;
-        assert!(
-            p <= EngineKind::Threaded.max_procs(),
-            "the threaded engine supports at most {} processors; \
-             use run_tasks (event loop) for larger machines",
-            EngineKind::Threaded.max_procs()
-        );
-        // Data frames: chans[src][dst]. Ack control frames flow the other
-        // way on their own matrix so they never interleave with data.
-        let (data_tx, data_rx) = channel_matrix::<Frame>(p);
-        let (ack_tx, ack_rx) = channel_matrix::<AckMsg>(p);
-
-        let f = &f;
-        let mode = self.mode;
-        let topology = self.topology;
-        let faults = &self.faults;
-        let retry = self.retry;
-        let watchdog = self.watchdog;
-        let arenas = &self.arenas;
-        let tracing = self.sink.as_ref().is_some_and(|s| s.is_enabled());
-        let (results, ledgers, traces) = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(p);
-            let rows = data_tx
-                .into_iter()
-                .zip(data_rx)
-                .zip(ack_tx.into_iter().zip(ack_rx));
-            for (rank, ((tx_row, rx_row), (ack_tx_row, ack_rx_row))) in rows.enumerate() {
-                handles.push(scope.spawn(move || {
-                    let mut env = Env::new(
-                        rank,
-                        p,
-                        mode,
-                        topology,
-                        faults.clone(),
-                        retry,
-                        watchdog,
-                        Arc::clone(&arenas[rank]),
-                        tracing,
-                        Links::Threaded {
-                            senders: tx_row,
-                            receivers: rx_row,
-                            ack_senders: ack_tx_row,
-                            ack_receivers: ack_rx_row,
-                        },
-                    );
-                    let out = f(&mut env);
-                    let (ledger, trace) = env.into_parts();
-                    (out, ledger, trace)
-                }));
-            }
-            let mut results = Vec::with_capacity(p);
-            let mut ledgers = Vec::with_capacity(p);
-            let mut traces = Vec::with_capacity(p);
-            for h in handles {
-                // lint: allow(E002) — a panicked rank must abort the simulation; propagate
-                let (r, l, t) = h.join().expect("simulated processor panicked");
-                results.push(r);
-                ledgers.push(l);
-                traces.push(t);
-            }
-            (results, ledgers, traces)
-        });
-        if let Some(sink) = &self.sink {
-            // Rank order by construction — sinks never need to re-sort.
-            for trace in traces.into_iter().flatten() {
-                sink.record(trace);
-            }
-        }
-        (results, ledgers)
-    }
-
-    /// Run an *asynchronous* rank program on every processor and collect
-    /// the return values in rank order — the scalable twin of
-    /// [`Multicomputer::run`].
+    /// Run an asynchronous rank program on every processor and collect
+    /// the return values in rank order.
     ///
     /// `f` is called once per rank with the shared read-only context
     /// `ctx` and the rank's [`Env`], and returns that rank's task: a
@@ -555,43 +390,108 @@ impl Multicomputer {
     /// through `ctx` instead, where the compiler can tie its lifetime to
     /// each task's. Receives are the only awaited operations — sends,
     /// nonblocking posts and `wait_all` never block on a peer — so on
-    /// the threaded backend the future completes in a single poll with
-    /// *exactly* the blocking engine's behavior, while on the event loop
+    /// the threaded executor the future completes in a single poll, its
+    /// receives blocking inside it, while on the event loop
     /// ([`EngineKind::EventLoop`], auto-selected for machines beyond
     /// [`EngineKind::max_procs`] threads) the awaits become yield points
     /// and tens of thousands of ranks share one OS thread. Ledgers,
     /// traces, wire stats and fault fates are bit-identical between the
-    /// two backends.
+    /// two executors.
+    ///
+    /// # Panics
+    /// Propagates a panic from any rank's task.
     pub fn run_tasks<C, F, R>(&self, ctx: &C, f: F) -> Vec<R>
     where
         C: Sync + ?Sized,
-        F: for<'e> Fn(&'e C, &'e mut Env) -> Pin<Box<dyn Future<Output = R> + 'e>> + Sync,
+        F: for<'e> Fn(&'e C, &'e mut Env) -> TaskFuture<'e, R> + Sync,
         R: Send,
     {
         self.run_tasks_with_ledgers(ctx, f).0
     }
 
     /// Like [`Multicomputer::run_tasks`], but also returns each rank's
-    /// [`PhaseLedger`] — the entry point for scheme drivers that need to
-    /// scale past the threaded engine.
+    /// [`PhaseLedger`] — the entry point for scheme drivers and the other
+    /// SPMD programs.
     pub fn run_tasks_with_ledgers<C, F, R>(&self, ctx: &C, f: F) -> (Vec<R>, Vec<PhaseLedger>)
     where
         C: Sync + ?Sized,
-        F: for<'e> Fn(&'e C, &'e mut Env) -> Pin<Box<dyn Future<Output = R> + 'e>> + Sync,
+        F: for<'e> Fn(&'e C, &'e mut Env) -> TaskFuture<'e, R> + Sync,
         R: Send,
     {
-        match self.task_engine() {
-            EngineKind::Threaded => self.run_with_ledgers(|env| poll_complete(f(ctx, env))),
-            EngineKind::EventLoop => self.run_tasks_event(ctx, &f),
+        let tracing = self.sink.as_ref().is_some_and(|s| s.is_enabled());
+        let outs = match self.task_engine() {
+            EngineKind::Threaded => self.run_threaded(ctx, &f, tracing),
+            EngineKind::EventLoop => self.run_event(ctx, &f, tracing),
+        };
+        let mut results = Vec::with_capacity(outs.len());
+        let mut ledgers = Vec::with_capacity(outs.len());
+        for (r, l, trace) in outs {
+            results.push(r);
+            ledgers.push(l);
+            // Rank order by construction — sinks never need to re-sort.
+            if let (Some(sink), Some(trace)) = (&self.sink, trace) {
+                sink.record(trace);
+            }
         }
+        (results, ledgers)
     }
 
-    /// Event-loop backend: all ranks as tasks on this thread, scheduled
-    /// by frame availability (see [`crate::exec`]).
-    fn run_tasks_event<C, F, R>(&self, ctx: &C, f: &F) -> (Vec<R>, Vec<PhaseLedger>)
+    /// Threaded executor: one scoped OS thread per rank over a channel
+    /// matrix. Every task completes in a single poll, because its
+    /// receives block inside it (see [`poll_complete`]).
+    fn run_threaded<C, F, R>(&self, ctx: &C, f: &F, tracing: bool) -> Vec<RankOut<R>>
     where
         C: Sync + ?Sized,
-        F: for<'e> Fn(&'e C, &'e mut Env) -> Pin<Box<dyn Future<Output = R> + 'e>> + Sync,
+        F: for<'e> Fn(&'e C, &'e mut Env) -> TaskFuture<'e, R> + Sync,
+        R: Send,
+    {
+        let p = self.nprocs;
+        assert!(
+            p <= EngineKind::Threaded.max_procs(),
+            "the threaded engine supports at most {} processors; \
+             use the event loop for larger machines",
+            EngineKind::Threaded.max_procs()
+        );
+        // Data frames: chans[src][dst]. Ack control frames flow the other
+        // way on their own matrix so they never interleave with data.
+        let (data_tx, data_rx) = channel_matrix::<Frame>(p);
+        let (ack_tx, ack_rx) = channel_matrix::<AckMsg>(p);
+        std::thread::scope(|scope| {
+            let rows = data_tx
+                .into_iter()
+                .zip(data_rx)
+                .zip(ack_tx.into_iter().zip(ack_rx));
+            let handles: Vec<_> = rows
+                .enumerate()
+                .map(|(rank, ((tx_row, rx_row), (ack_tx_row, ack_rx_row)))| {
+                    scope.spawn(move || {
+                        let links = Links::Threaded {
+                            senders: tx_row,
+                            receivers: rx_row,
+                            ack_senders: ack_tx_row,
+                            ack_receivers: ack_rx_row,
+                        };
+                        let mut env = Env::new(self, rank, tracing, links);
+                        let out = poll_complete(f(ctx, &mut env));
+                        let (ledger, trace) = env.into_parts();
+                        (out, ledger, trace)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                // lint: allow(E002) — a panicked rank must abort the simulation; propagate
+                .map(|h| h.join().expect("simulated processor panicked"))
+                .collect()
+        })
+    }
+
+    /// Event-loop executor: all ranks as tasks on this thread, scheduled
+    /// by frame availability (see [`crate::exec`]).
+    fn run_event<C, F, R>(&self, ctx: &C, f: &F, tracing: bool) -> Vec<RankOut<R>>
+    where
+        C: Sync + ?Sized,
+        F: for<'e> Fn(&'e C, &'e mut Env) -> TaskFuture<'e, R> + Sync,
         R: Send,
     {
         let p = self.nprocs;
@@ -600,24 +500,9 @@ impl Multicomputer {
             .map(|limit| limit.as_millis() as u64)
             .unwrap_or(0);
         let fabric = Rc::new(EventFabric::new(p, watchdog_ms));
-        let tracing = self.sink.as_ref().is_some_and(|s| s.is_enabled());
-        #[allow(clippy::type_complexity)]
-        let mut tasks: Vec<
-            Pin<Box<dyn Future<Output = (R, PhaseLedger, Option<RankTrace>)> + '_>>,
-        > = Vec::with_capacity(p);
+        let mut tasks: Vec<TaskFuture<'_, RankOut<R>>> = Vec::with_capacity(p);
         for rank in 0..p {
-            let env = Env::new(
-                rank,
-                p,
-                self.mode,
-                self.topology,
-                self.faults.clone(),
-                self.retry,
-                self.watchdog,
-                Arc::clone(&self.arenas[rank]),
-                tracing,
-                Links::Event(Rc::clone(&fabric)),
-            );
+            let env = Env::new(self, rank, tracing, Links::Event(Rc::clone(&fabric)));
             // The env is moved *into* the task so the future is
             // self-contained: no self-referential (env, future) pairs, no
             // unsafe.
@@ -629,28 +514,18 @@ impl Multicomputer {
                 (out, ledger, trace)
             }));
         }
-        let outs = exec::drive(tasks, &fabric);
-        let mut results = Vec::with_capacity(p);
-        let mut ledgers = Vec::with_capacity(p);
-        let mut traces = Vec::with_capacity(p);
-        for (r, l, t) in outs {
-            results.push(r);
-            ledgers.push(l);
-            traces.push(t);
-        }
-        if let Some(sink) = &self.sink {
-            for trace in traces.into_iter().flatten() {
-                sink.record(trace);
-            }
-        }
-        (results, ledgers)
+        exec::drive(tasks, &fabric)
     }
 }
 
-/// Drive a rank future on the *threaded* engine, where every await point
-/// resolves immediately (receives block inside the poll, exactly like the
-/// synchronous engine): one poll always completes the task.
-fn poll_complete<R>(mut fut: Pin<Box<dyn Future<Output = R> + '_>>) -> R {
+/// What one rank hands back to the executor: its task's output, ledger
+/// and (when tracing) trace.
+type RankOut<R> = (R, PhaseLedger, Option<RankTrace>);
+
+/// Drive a rank future on the *threaded* executor, where every await point
+/// resolves immediately (receives block inside the poll): one poll always
+/// completes the task.
+fn poll_complete<R>(mut fut: TaskFuture<'_, R>) -> R {
     let waker = exec::noop_waker();
     let mut cx = Context::from_waker(&waker);
     match fut.as_mut().poll(&mut cx) {
@@ -688,26 +563,15 @@ fn channel_matrix<T>(p: usize) -> (Vec<Vec<Sender<T>>>, Vec<Vec<Receiver<T>>>) {
     (senders, receivers)
 }
 
-enum Clock {
-    Virtual {
-        now: VirtualTime,
-        model: MachineModel,
-    },
-    Wall {
-        // lint: allow(D001) — wall-clock epoch is the point of WallClock mode
-        epoch: Instant,
-    },
-}
-
-/// One simulated processor's execution environment: its rank, its channels
-/// to every peer, its clock, and its phase ledger.
+/// One simulated processor's execution environment: its rank, its links
+/// to every peer, its virtual clock, and its phase ledger.
 pub struct Env {
     rank: usize,
     nprocs: usize,
     topology: Topology,
-    clock: Clock,
-    wire_ns_per_elem: u64,
-    wire_ns_startup: u64,
+    /// The local virtual clock.
+    now: VirtualTime,
+    model: MachineModel,
     ledger: PhaseLedger,
     current_phase: Phase,
     /// Span/metrics recorder; `None` unless an enabled [`TraceSink`] is
@@ -724,60 +588,29 @@ pub struct Env {
     /// purpose: a rank at p = 65536 typically talks to a handful of peers,
     /// and a dense per-rank `Vec` would cost O(p²) across the machine.
     send_seq: BTreeMap<usize, u64>,
+    /// The last message each peer acked as accepted (fault plans only).
+    accepted: BTreeMap<usize, u64>,
     links: Links,
 }
 
 impl Env {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        rank: usize,
-        nprocs: usize,
-        mode: TimingMode,
-        topology: Topology,
-        plan: Option<FaultPlan>,
-        retry: RetryPolicy,
-        watchdog: Option<Duration>,
-        arena: Arc<PackArena>,
-        tracing: bool,
-        links: Links,
-    ) -> Self {
-        let (clock, wire_ns_per_elem, wire_ns_startup) = match mode {
-            TimingMode::Virtual(model) => (
-                Clock::Virtual {
-                    now: VirtualTime::ZERO,
-                    model,
-                },
-                0,
-                0,
-            ),
-            TimingMode::WallClock {
-                wire_ns_per_elem,
-                wire_ns_startup,
-            } => (
-                Clock::Wall {
-                    // lint: allow(D001) — WallClock mode anchors to real time on purpose
-                    epoch: Instant::now(),
-                },
-                wire_ns_per_elem,
-                wire_ns_startup,
-            ),
-        };
+    fn new(machine: &Multicomputer, rank: usize, tracing: bool, links: Links) -> Self {
         Env {
             rank,
-            nprocs,
-            topology,
-            clock,
-            wire_ns_per_elem,
-            wire_ns_startup,
+            nprocs: machine.nprocs,
+            topology: machine.topology,
+            now: VirtualTime::ZERO,
+            model: machine.model,
             ledger: PhaseLedger::new(),
             current_phase: Phase::Other,
             tracer: tracing.then(|| Tracer::new(rank)),
-            plan,
-            retry,
-            watchdog,
-            arena,
+            plan: machine.faults.clone(),
+            retry: machine.retry,
+            watchdog: machine.watchdog,
+            arena: Arc::clone(&machine.arenas[rank]),
             nic: NicProgress::new(),
             send_seq: BTreeMap::new(),
+            accepted: BTreeMap::new(),
             links,
         }
     }
@@ -798,11 +631,6 @@ impl Env {
     /// Number of processors in the machine.
     pub fn nprocs(&self) -> usize {
         self.nprocs
-    }
-
-    /// True in virtual-time mode.
-    pub fn is_virtual(&self) -> bool {
-        matches!(self.clock, Clock::Virtual { .. })
     }
 
     /// True if the fault plan declares `rank` dead.
@@ -837,8 +665,7 @@ impl Env {
     /// when it would land (including any injected delay). Returns the
     /// `PeerDead` error — after pushing the matching death notice — if the
     /// sender is already past its own death or the frame cannot land
-    /// before the destination dies. Timed deaths are a virtual-time
-    /// concept; wall-clock mode never reaches this.
+    /// before the destination dies.
     fn check_timed_death(
         &mut self,
         dst: usize,
@@ -886,39 +713,24 @@ impl Env {
 
     /// Current local clock reading.
     pub fn now(&self) -> VirtualTime {
-        match &self.clock {
-            Clock::Virtual { now, .. } => *now,
-            Clock::Wall { epoch } => VirtualTime::from_micros(epoch.elapsed().as_secs_f64() * 1e6),
-        }
+        self.now
     }
 
-    /// Run `f` attributed to `phase`.
-    ///
-    /// Virtual mode: sets the current phase so [`Env::charge_ops`] books
-    /// into it. Wall mode: measures the body's elapsed wall time into the
-    /// ledger (charges are no-ops there).
+    /// Run `f` attributed to `phase`: sets the current phase so
+    /// [`Env::charge_ops`] books into it.
     pub fn phase<T>(&mut self, phase: Phase, f: impl FnOnce(&mut Env) -> T) -> T {
         let prev = self.current_phase;
         self.current_phase = phase;
-        let wall_start = match &self.clock {
-            Clock::Wall { epoch } => Some((*epoch, epoch.elapsed())),
-            Clock::Virtual { .. } => None,
-        };
         self.trace_open(phase, String::new());
         let out = f(self);
-        if let Some((epoch, start)) = wall_start {
-            let span = epoch.elapsed().saturating_sub(start);
-            self.ledger
-                .record(phase, VirtualTime::from_micros(span.as_secs_f64() * 1e6));
-        }
         self.trace_close();
         self.current_phase = prev;
         out
     }
 
     /// Run `f` as a labelled trace span inside the current phase — used by
-    /// the collectives so a `scatterv` or `allreduce` shows up as one unit
-    /// in the trace. A pure pass-through when tracing is off.
+    /// the pipeline so each chunk of a message shows up as one unit in the
+    /// trace. A pure pass-through when tracing is off.
     pub fn span<T>(&mut self, label: &str, f: impl FnOnce(&mut Env) -> T) -> T {
         if self.tracer.is_none() {
             return f(self);
@@ -945,8 +757,8 @@ impl Env {
     /// Attach `(part id, ops)` pairs — merged in part order, exactly the
     /// numbers `map_parts` produces — to the innermost open span. On close
     /// the span subdivides into per-part child spans proportional to the
-    /// counts, which in virtual mode reproduces the sequential execution's
-    /// intervals exactly. No-op when tracing is off.
+    /// counts, which reproduces the sequential execution's intervals
+    /// exactly. No-op when tracing is off.
     pub fn trace_part_ops(&mut self, parts: &[(usize, u64)]) {
         if let Some(tr) = self.tracer.as_mut() {
             tr.part_ops(parts);
@@ -1003,60 +815,37 @@ impl Env {
     }
 
     /// Charge `n` element operations (`n × T_Operation`) to the local clock
-    /// and the current phase. No-op in wall-clock mode.
+    /// and the current phase.
     pub fn charge_ops(&mut self, n: u64) {
-        if let Clock::Virtual { now, model } = &mut self.clock {
-            let cost = model.op_cost(n);
-            *now += cost;
-            self.ledger.record(self.current_phase, cost);
-        }
+        let cost = self.model.op_cost(n);
+        self.now += cost;
+        self.ledger.record(self.current_phase, cost);
         if let Some(tr) = self.tracer.as_mut() {
             tr.note_ops(n);
         }
     }
 
     /// Charge the wire cost of one transmission of `elems` elements over
-    /// `hops` links into `phase`, returning the post-charge clock (virtual
-    /// mode), or busy-wait the configured wire time (wall mode).
+    /// `hops` links into `phase`, returning the post-charge clock.
     fn charge_wire(&mut self, elems: u64, hops: usize, phase: Phase) -> VirtualTime {
-        match &mut self.clock {
-            Clock::Virtual { now, model } => {
-                let cost = model.message_cost_hops(elems, hops.max(1));
-                *now += cost;
-                self.ledger.record(phase, cost);
-                *now
-            }
-            Clock::Wall { .. } => {
-                let ns = self.wire_ns_startup + self.wire_ns_per_elem * elems;
-                if ns > 0 {
-                    // lint: allow(D001) — WallClock mode burns real nanoseconds here
-                    let start = Instant::now();
-                    while (start.elapsed().as_nanos() as u64) < ns {
-                        std::hint::spin_loop();
-                    }
-                }
-                VirtualTime::ZERO
-            }
-        }
+        let cost = self.model.message_cost_hops(elems, hops.max(1));
+        self.now += cost;
+        self.ledger.record(phase, cost);
+        self.now
     }
 
-    /// Charge `us` microseconds of ARQ timeout to [`Phase::Retry`]
-    /// (virtual mode only; in wall mode the timeout is counted, not slept).
+    /// Charge `us` microseconds of ARQ timeout to [`Phase::Retry`].
     fn charge_timeout(&mut self, us: f64) {
-        if let Clock::Virtual { now, .. } = &mut self.clock {
-            let span = VirtualTime::from_micros(us);
-            *now += span;
-            self.ledger.record(Phase::Retry, span);
-        }
+        let span = VirtualTime::from_micros(us);
+        self.now += span;
+        self.ledger.record(Phase::Retry, span);
     }
 
     /// Send `payload` to `dst`.
     ///
-    /// Virtual mode: charges `T_Startup + hops·T_Hop + elems × T_Data` to
-    /// the local clock, attributed to [`Phase::Send`], and stamps the
-    /// message with the post-charge clock as its arrival time. Wall mode:
-    /// optionally busy-waits the configured wire cost, then moves the
-    /// buffer.
+    /// Charges `T_Startup + hops·T_Hop + elems × T_Data` to the local
+    /// clock, attributed to [`Phase::Send`], and stamps the message with
+    /// the post-charge clock as its arrival time.
     ///
     /// With a [`FaultPlan`] installed the transmission runs through the
     /// reliable-delivery layer: injected drops and corruptions trigger
@@ -1113,14 +902,12 @@ impl Env {
         loop {
             let fate = plan.decide(self.rank, dst, seq, attempt, self.current_phase);
             if plan.has_timed_deaths() {
-                if let Clock::Virtual { now, model } = &self.clock {
-                    let start = *now;
-                    let mut would_arrive = start + model.message_cost_hops(elems, hops.max(1));
-                    if let Some(FaultKind::Delay(extra)) = fate {
-                        would_arrive += VirtualTime::from_micros(extra);
-                    }
-                    self.check_timed_death(dst, seq, start, would_arrive)?;
+                let start = self.now;
+                let mut would_arrive = start + self.model.message_cost_hops(elems, hops.max(1));
+                if let Some(FaultKind::Delay(extra)) = fate {
+                    would_arrive += VirtualTime::from_micros(extra);
                 }
+                self.check_timed_death(dst, seq, start, would_arrive)?;
             }
             let wire_phase = if attempt == 0 {
                 Phase::Send
@@ -1136,10 +923,9 @@ impl Env {
             match fate {
                 None | Some(FaultKind::Delay(_)) => {
                     let arrival = match fate {
-                        Some(FaultKind::Delay(extra_us)) => match self.clock {
-                            Clock::Virtual { .. } => sent_at + VirtualTime::from_micros(extra_us),
-                            Clock::Wall { .. } => sent_at,
-                        },
+                        Some(FaultKind::Delay(extra_us)) => {
+                            sent_at + VirtualTime::from_micros(extra_us)
+                        }
                         _ => sent_at,
                     };
                     let frame = Frame {
@@ -1155,8 +941,8 @@ impl Env {
                     return self.push_frame(dst, frame);
                 }
                 Some(fault @ (FaultKind::Drop | FaultKind::Corrupt)) => {
-                    // Transmit the doomed frame so the blocking receiver can
-                    // observe (and for corruption, CRC-reject) it.
+                    // Transmit the doomed frame so the receiver can observe
+                    // (and for corruption, CRC-reject) it.
                     let mut wire_payload = payload.clone();
                     if fault == FaultKind::Corrupt {
                         wire_payload.flip_bit(plan.aux_roll(self.rank, dst, seq, attempt));
@@ -1215,6 +1001,7 @@ impl Env {
     }
 
     fn push_frame(&mut self, dst: usize, frame: Frame) -> Result<(), CommError> {
+        let seq = frame.seq;
         let pushed = match &self.links {
             Links::Threaded { senders, .. } => senders[dst]
                 .send(frame)
@@ -1223,20 +1010,21 @@ impl Env {
         };
         match pushed {
             // A peer with a scheduled timed death tears its transport down
-            // at a moment the virtual clock cannot see (the threaded engine
-            // drops its channel whenever the victim's OS thread happens to
-            // exit). Under the virtual clock, `check_timed_death` is the
-            // sole arbiter of whether a frame lands before the death — it
-            // has already ruled on this frame, so the push "delivers" into
-            // the void of a rank that dies before the contents matter.
-            // Surfacing the teardown would leak host scheduling into the
-            // outcome and make the two engines disagree run to run.
-            Err(CommError::Disconnected { .. })
-                if matches!(self.clock, Clock::Virtual { .. })
-                    && self.death_time_us(dst).is_some() =>
-            {
-                Ok(())
-            }
+            // at a moment the virtual clock cannot see (the threaded
+            // executor drops its channel whenever the victim's OS thread
+            // happens to exit). `check_timed_death` is the sole arbiter of
+            // whether a frame lands before the death — it has already ruled
+            // on this frame, so the push "delivers" into the void of a rank
+            // that dies before the contents matter. Surfacing the teardown
+            // would leak host scheduling into the outcome and make the two
+            // executors disagree run to run.
+            Err(CommError::Disconnected { .. }) if self.death_time_us(dst).is_some() => Ok(()),
+            // A corruption of an empty payload flips no bit, so the peer's
+            // CRC check accepts that attempt, acks it and may exit before
+            // the sender's retransmission lands. The message is delivered.
+            // The event loop pushes every attempt before the peer runs, so
+            // this keeps the threaded executor's outcome equal to it.
+            Err(CommError::Disconnected { .. }) if self.accepted(dst, seq) => Ok(()),
             other => other,
         }
     }
@@ -1289,10 +1077,7 @@ impl Env {
     /// charges exactly the blocking totals, while recovery hidden behind
     /// compute costs nothing. Retry exhaustion surfaces here, at post
     /// time, as [`CommError::RetriesExhausted`] (the receiver is unblocked
-    /// by a poison frame, as on the blocking path).
-    ///
-    /// In wall-clock mode there is no virtual NIC to model, so the call
-    /// falls back to a plain `send`.
+    /// by a poison frame, as for [`Env::send`]).
     ///
     /// # Errors
     /// Same failure modes as [`Env::send`].
@@ -1301,9 +1086,6 @@ impl Env {
     /// Panics if `dst` is out of range (API misuse, like slice indexing).
     pub fn isend(&mut self, dst: usize, payload: PackBuffer) -> Result<(), CommError> {
         assert!(dst < self.nprocs, "isend to rank {dst} of {}", self.nprocs);
-        if !self.is_virtual() {
-            return self.send(dst, payload);
-        }
         if self.is_rank_dead(dst) {
             return Err(CommError::PeerDead { rank: dst });
         }
@@ -1314,11 +1096,8 @@ impl Env {
         let seq = self.next_seq(dst);
         let elems = payload.elem_count();
         let nbytes = payload.byte_len();
-        let (now, cost) = match &self.clock {
-            Clock::Virtual { now, model } => (*now, model.message_cost_hops(elems, hops.max(1))),
-            // Unreachable: the !is_virtual() guard above already bailed.
-            Clock::Wall { .. } => return self.send(dst, payload),
-        };
+        let now = self.now;
+        let cost = self.model.message_cost_hops(elems, hops.max(1));
 
         let Some(plan) = self.plan.clone() else {
             // Fast path: clean single transmission on the NIC.
@@ -1438,18 +1217,12 @@ impl Env {
     /// `env.phase(Phase::Send, |env| env.wait_all())` to attribute the
     /// drain to the send phase. Any slice of the jump the NIC spent on ARQ
     /// recovery (retransmission wire time and backoff timeouts, see
-    /// [`Env::isend`]) is booked to [`Phase::Retry`] instead, mirroring the
-    /// blocking sender's attribution. A no-op in wall-clock mode, with no
-    /// posted sends, or when the CPU already ran past the NIC (in which
-    /// case even recovery time was hidden and costs nothing).
+    /// [`Env::isend`]) is booked to [`Phase::Retry`] instead, mirroring
+    /// [`Env::send`]'s attribution. A no-op with no posted sends, or when
+    /// the CPU already ran past the NIC (in which case even recovery time
+    /// was hidden and costs nothing).
     pub fn wait_all(&mut self) {
-        let pre = match &self.clock {
-            Clock::Virtual { now, .. } => *now,
-            Clock::Wall { .. } => {
-                self.nic.drain();
-                return;
-            }
-        };
+        let pre = self.now;
         let target = self.nic.free_at();
         // Compute the recovery slice before the drain clears the timeline.
         let retry = self.nic.retry_within(pre, target);
@@ -1458,9 +1231,7 @@ impl Env {
         if jump.as_micros() <= 0.0 {
             return;
         }
-        if let Clock::Virtual { now, .. } = &mut self.clock {
-            *now = target;
-        }
+        self.now = target;
         let phase = self.current_phase;
         if retry.as_micros() > 0.0 {
             self.ledger.record(Phase::Retry, retry);
@@ -1477,34 +1248,13 @@ impl Env {
         }
     }
 
-    /// Post a nonblocking receive for the next message from `src`.
-    ///
-    /// Posting costs nothing — the matching [`Env::wait_recv`] performs the
-    /// actual (deterministic, arrival-stamped) receive. Handles from the
-    /// same `src` complete in FIFO order, mirroring the channel.
-    pub fn irecv(&mut self, src: usize) -> RecvHandle {
-        assert!(
-            src < self.nprocs,
-            "irecv from rank {src} of {}",
-            self.nprocs
-        );
-        RecvHandle { src }
-    }
-
-    /// Complete a receive posted with [`Env::irecv`]. Identical semantics
-    /// to calling [`Env::recv`] at this point: the clock syncs to the
-    /// message's arrival and any forward jump books as [`Phase::Wait`].
-    ///
-    /// # Errors
-    /// Same failure modes as [`Env::recv`].
-    pub fn wait_recv(&mut self, handle: RecvHandle) -> Result<Message, CommError> {
-        self.recv(handle.src)
-    }
-
-    /// Blocking receive of the next message from `src`.
-    ///
-    /// Virtual mode: synchronises the local clock with the message's
-    /// arrival time; any forward jump is booked as [`Phase::Wait`].
+    /// Receive the next message from `src`: the one yield point of a rank
+    /// task. Synchronises the local clock with the message's arrival time;
+    /// any forward jump is booked as [`Phase::Wait`]. On the threaded
+    /// executor the await resolves in the same poll (the transport blocks
+    /// inside it); on the event loop it parks the rank's task until the
+    /// frame is pushed. Sends and collectives built from sends never block
+    /// on a peer.
     ///
     /// With a [`FaultPlan`] installed, faulted frames are consumed here:
     /// dropped frames are skipped silently (the sender's timeout pays for
@@ -1516,33 +1266,14 @@ impl Env {
     ///
     /// # Panics
     /// Panics if `src` is out of range (API misuse, like slice indexing).
-    pub fn recv(&mut self, src: usize) -> Result<Message, CommError> {
-        assert!(src < self.nprocs, "recv from rank {src} of {}", self.nprocs);
-        self.recv_preflight(src)?;
-        loop {
-            let frame = self.next_frame(src)?;
-            if let Some(msg) = self.process_frame(src, frame)? {
-                return Ok(msg);
-            }
-        }
-    }
-
-    /// Asynchronous twin of [`Env::recv`]: identical semantics, identical
-    /// charges, but the wait for a frame is an `await` point. On the
-    /// threaded engine the await resolves immediately (the transport
-    /// blocks inside the poll); on the event loop it parks the rank's task
-    /// until the frame is pushed. This is the *only* suspension point a
-    /// rank task has — sends and collectives built from sends never block
-    /// on a peer.
-    ///
-    /// # Errors
-    /// Same failure modes as [`Env::recv`].
-    ///
-    /// # Panics
-    /// Panics if `src` is out of range (API misuse, like slice indexing).
     pub async fn recv_async(&mut self, src: usize) -> Result<Message, CommError> {
         assert!(src < self.nprocs, "recv from rank {src} of {}", self.nprocs);
-        self.recv_preflight(src)?;
+        if self.is_rank_dead(src) {
+            return Err(CommError::PeerDead { rank: src });
+        }
+        if self.is_rank_dead(self.rank) {
+            return Err(CommError::PeerDead { rank: self.rank });
+        }
         loop {
             let frame = self.next_frame_async(src).await?;
             if let Some(msg) = self.process_frame(src, frame)? {
@@ -1551,21 +1282,10 @@ impl Env {
         }
     }
 
-    /// Dead-rank checks shared by the blocking and async receive paths.
-    fn recv_preflight(&self, src: usize) -> Result<(), CommError> {
-        if self.is_rank_dead(src) {
-            return Err(CommError::PeerDead { rank: src });
-        }
-        if self.is_rank_dead(self.rank) {
-            return Err(CommError::PeerDead { rank: self.rank });
-        }
-        Ok(())
-    }
-
     /// Consume one frame from `src`: deliver it (`Ok(Some)`), absorb it
     /// and keep waiting (`Ok(None)` — injected drops and CRC-rejected
     /// corruptions), or surface the failure it encodes. Every charge the
-    /// receive path makes happens here, shared verbatim by both engines.
+    /// receive path makes happens here, shared verbatim by both executors.
     fn process_frame(&mut self, src: usize, frame: Frame) -> Result<Option<Message>, CommError> {
         if let Some(rank) = frame.dead {
             return Err(CommError::PeerDead { rank });
@@ -1607,13 +1327,12 @@ impl Env {
         Ok(None)
     }
 
-    /// Pull the next frame from `src`, honouring the wall-clock watchdog
-    /// when one is installed (see [`Multicomputer::with_watchdog`]). On an
-    /// event-loop env this cannot block (there is no thread to park), so
-    /// an empty link reports a stall — synchronous receives belong to the
-    /// threaded engine, asynchronous rank tasks await
-    /// [`Env::next_frame_async`] instead.
-    fn next_frame(&mut self, src: usize) -> Result<Frame, CommError> {
+    /// Await the next frame from `src`: the transport-level yield point of
+    /// a rank task. Threaded links block inside the poll, honouring the
+    /// wall-clock watchdog when one is installed (see
+    /// [`Multicomputer::with_watchdog`]); event links park the task until
+    /// the frame (or a disconnect/stall verdict) is available.
+    async fn next_frame_async(&mut self, src: usize) -> Result<Frame, CommError> {
         match &self.links {
             Links::Threaded { receivers, .. } => match self.watchdog {
                 None => receivers[src]
@@ -1630,38 +1349,25 @@ impl Env {
                     }),
                 },
             },
-            Links::Event(fabric) => fabric.try_next_frame(self.rank, src),
-        }
-    }
-
-    /// Await the next frame from `src`: the transport-level yield point of
-    /// a rank task. Threaded links resolve in the same poll by blocking;
-    /// event links park the task until the frame (or a disconnect/stall
-    /// verdict) is available.
-    async fn next_frame_async(&mut self, src: usize) -> Result<Frame, CommError> {
-        match &self.links {
-            Links::Threaded { .. } => self.next_frame(src),
             Links::Event(fabric) => fabric.frame_wait(self.rank, src).await,
         }
     }
 
     /// Clock-sync to the frame's arrival and hand it to the caller.
     fn deliver(&mut self, frame: Frame) -> Message {
-        if let Clock::Virtual { now, .. } = &mut self.clock {
-            let pre = *now;
-            let jump = frame.arrival.saturating_sub(*now);
-            *now = now.max(frame.arrival);
-            self.ledger.record(Phase::Wait, jump);
-            if jump.as_micros() > 0.0 {
-                if let Some(tr) = self.tracer.as_mut() {
-                    tr.emit(
-                        Phase::Wait,
-                        format!("<-{}", frame.src),
-                        pre,
-                        frame.arrival,
-                        WireStats::default(),
-                    );
-                }
+        let pre = self.now;
+        let jump = frame.arrival.saturating_sub(pre);
+        self.now = pre.max(frame.arrival);
+        self.ledger.record(Phase::Wait, jump);
+        if jump.as_micros() > 0.0 {
+            if let Some(tr) = self.tracer.as_mut() {
+                tr.emit(
+                    Phase::Wait,
+                    format!("<-{}", frame.src),
+                    pre,
+                    frame.arrival,
+                    WireStats::default(),
+                );
             }
         }
         Message {
@@ -1679,11 +1385,9 @@ impl Env {
         } else {
             self.ledger.faults_mut().nacks += 1;
         }
-        if let Clock::Virtual { now, model } = &mut self.clock {
-            let cost = model.message_cost(1);
-            *now += cost;
-            self.ledger.record(Phase::Recv, cost);
-        }
+        let cost = self.model.message_cost(1);
+        self.now += cost;
+        self.ledger.record(Phase::Recv, cost);
         // The peer may already have finished — a vanished ack listener is
         // not an error; acks are confirmations, not data.
         match &self.links {
@@ -1696,28 +1400,38 @@ impl Env {
 
     /// Opportunistically drain delivery confirmations from `dst`. The
     /// fault plan already told the sender everything the acks would (the
-    /// decisions are shared), so these only sanity-check the protocol.
+    /// decisions are shared), so these only sanity-check the protocol and
+    /// record the last message `dst` accepted.
     fn drain_acks(&mut self, dst: usize) {
         let sent = self.send_seq.get(&dst).copied().unwrap_or(0);
-        let check = |ack: &AckMsg| {
+        let mut check = |ack: AckMsg| {
             debug_assert!(
                 ack.seq < sent,
                 "ack for a frame rank {} never sent to {dst}",
                 self.rank
             );
+            if ack.ok {
+                self.accepted.insert(dst, ack.seq);
+            }
         };
         match &self.links {
             Links::Threaded { ack_receivers, .. } => {
                 while let Ok(ack) = ack_receivers[dst].try_recv() {
-                    check(&ack);
+                    check(ack);
                 }
             }
             Links::Event(fabric) => {
                 while let Some(ack) = fabric.pop_ack(self.rank, dst) {
-                    check(&ack);
+                    check(ack);
                 }
             }
         }
+    }
+
+    /// Whether `dst` has acked message `seq` as accepted.
+    fn accepted(&mut self, dst: usize, seq: u64) -> bool {
+        self.drain_acks(dst);
+        self.accepted.get(&dst) == Some(&seq)
     }
 
     /// Immutable view of the ledger accumulated so far.
@@ -1752,12 +1466,35 @@ mod tests {
         MachineModel::new(10.0, 2.0, 1.0)
     }
 
+    /// Rank 0 sends `n` one-word frames `0..n` to rank 1, which returns
+    /// them in arrival order (rank 0 returns an empty vector).
+    fn stream_task<'e>(n: &'e u64, env: &'e mut Env) -> TaskFuture<'e, Vec<u64>> {
+        Box::pin(async move {
+            let mut got = Vec::new();
+            if env.rank() == 0 {
+                for i in 0..*n {
+                    let mut b = PackBuffer::new();
+                    b.push_u64(i);
+                    env.send(1, b).unwrap();
+                }
+            } else {
+                for _ in 0..*n {
+                    let msg = env.recv_async(0).await.unwrap();
+                    got.push(msg.payload.cursor().read_u64());
+                }
+            }
+            got
+        })
+    }
+
     #[test]
     fn ranks_and_sizes() {
         let m = Multicomputer::virtual_machine(5, model());
-        let ranks = m.run(|env| {
-            assert_eq!(env.nprocs(), 5);
-            env.rank()
+        let ranks = m.run_tasks(&(), |(), env| {
+            Box::pin(async move {
+                assert_eq!(env.nprocs(), 5);
+                env.rank()
+            })
         });
         assert_eq!(ranks, vec![0, 1, 2, 3, 4]);
     }
@@ -1765,21 +1502,23 @@ mod tests {
     #[test]
     fn point_to_point_round_trip() {
         let m = Multicomputer::virtual_machine(2, model());
-        let results = m.run(|env| {
-            if env.rank() == 0 {
-                let mut b = PackBuffer::new();
-                b.push_f64(3.25);
-                env.send(1, b).unwrap();
-                let back = env.recv(1).unwrap();
-                back.payload.cursor().read_f64()
-            } else {
-                let msg = env.recv(0).unwrap();
-                let v = msg.payload.cursor().read_f64();
-                let mut b = PackBuffer::new();
-                b.push_f64(v * 2.0);
-                env.send(0, b).unwrap();
-                v
-            }
+        let results = m.run_tasks(&(), |(), env| {
+            Box::pin(async move {
+                if env.rank() == 0 {
+                    let mut b = PackBuffer::new();
+                    b.push_f64(3.25);
+                    env.send(1, b).unwrap();
+                    let back = env.recv_async(1).await.unwrap();
+                    back.payload.cursor().read_f64()
+                } else {
+                    let msg = env.recv_async(0).await.unwrap();
+                    let v = msg.payload.cursor().read_f64();
+                    let mut b = PackBuffer::new();
+                    b.push_f64(v * 2.0);
+                    env.send(0, b).unwrap();
+                    v
+                }
+            })
         });
         assert_eq!(results, vec![6.5, 3.25]);
     }
@@ -1787,14 +1526,16 @@ mod tests {
     #[test]
     fn virtual_send_cost_is_charged() {
         let m = Multicomputer::virtual_machine(2, model());
-        let (_, ledgers) = m.run_with_ledgers(|env| {
-            if env.rank() == 0 {
-                let mut b = PackBuffer::new();
-                b.push_u64_slice(&[1, 2, 3, 4, 5]);
-                env.send(1, b).unwrap();
-            } else {
-                env.recv(0).unwrap();
-            }
+        let (_, ledgers) = m.run_tasks_with_ledgers(&(), |(), env| {
+            Box::pin(async move {
+                if env.rank() == 0 {
+                    let mut b = PackBuffer::new();
+                    b.push_u64_slice(&[1, 2, 3, 4, 5]);
+                    env.send(1, b).unwrap();
+                } else {
+                    env.recv_async(0).await.unwrap();
+                }
+            })
         });
         // t_startup + 5 elems * t_data = 10 + 10 = 20 µs at the sender.
         assert_eq!(ledgers[0].get(Phase::Send).as_micros(), 20.0);
@@ -1805,9 +1546,11 @@ mod tests {
     #[test]
     fn charge_ops_books_current_phase() {
         let m = Multicomputer::virtual_machine(1, model());
-        let (_, ledgers) = m.run_with_ledgers(|env| {
-            env.phase(Phase::Compress, |env| env.charge_ops(7));
-            env.charge_ops(3); // outside any phase block -> Other
+        let (_, ledgers) = m.run_tasks_with_ledgers(&(), |(), env| {
+            Box::pin(async move {
+                env.phase(Phase::Compress, |env| env.charge_ops(7));
+                env.charge_ops(3); // outside any phase block -> Other
+            })
         });
         assert_eq!(ledgers[0].get(Phase::Compress).as_micros(), 7.0);
         assert_eq!(ledgers[0].get(Phase::Other).as_micros(), 3.0);
@@ -1819,17 +1562,19 @@ mod tests {
         // exactly even under different host scheduling.
         let run_once = || {
             let m = Multicomputer::virtual_machine(4, model());
-            let (_, ledgers) = m.run_with_ledgers(|env| {
-                if env.rank() == 0 {
-                    for dst in 1..env.nprocs() {
-                        let mut b = PackBuffer::new();
-                        b.push_u64_slice(&vec![0; dst * 10]);
-                        env.send(dst, b).unwrap();
+            let (_, ledgers) = m.run_tasks_with_ledgers(&(), |(), env| {
+                Box::pin(async move {
+                    if env.rank() == 0 {
+                        for dst in 1..env.nprocs() {
+                            let mut b = PackBuffer::new();
+                            b.push_u64_slice(&vec![0; dst * 10]);
+                            env.send(dst, b).unwrap();
+                        }
+                    } else {
+                        env.recv_async(0).await.unwrap();
+                        env.charge_ops(100);
                     }
-                } else {
-                    env.recv(0).unwrap();
-                    env.charge_ops(100);
-                }
+                })
             });
             ledgers
         };
@@ -1841,68 +1586,44 @@ mod tests {
     #[test]
     fn self_send_works() {
         let m = Multicomputer::virtual_machine(3, model());
-        let results = m.run(|env| {
-            let mut b = PackBuffer::new();
-            b.push_u64(env.rank() as u64);
-            env.send(env.rank(), b).unwrap();
-            env.recv(env.rank()).unwrap().payload.cursor().read_u64()
+        let results = m.run_tasks(&(), |(), env| {
+            Box::pin(async move {
+                let mut b = PackBuffer::new();
+                b.push_u64(env.rank() as u64);
+                env.send(env.rank(), b).unwrap();
+                let me = env.rank();
+                env.recv_async(me)
+                    .await
+                    .unwrap()
+                    .payload
+                    .cursor()
+                    .read_u64()
+            })
         });
         assert_eq!(results, vec![0, 1, 2]);
     }
 
     #[test]
-    fn wall_clock_phase_measures_time() {
-        let m = Multicomputer::wall_clock(1);
-        let (_, ledgers) = m.run_with_ledgers(|env| {
-            env.phase(Phase::Compute, |_| {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            });
-        });
-        assert!(ledgers[0].get(Phase::Compute).as_millis() >= 4.0);
-    }
-
-    #[test]
-    fn wall_clock_charges_are_noop() {
-        let m = Multicomputer::wall_clock(1);
-        let (_, ledgers) = m.run_with_ledgers(|env| {
-            env.charge_ops(1_000_000_000);
-        });
-        // charge_ops must not book anything in wall mode.
-        assert_eq!(ledgers[0].get(Phase::Other).as_micros(), 0.0);
-    }
-
-    #[test]
     fn messages_from_same_source_preserve_order() {
         let m = Multicomputer::virtual_machine(2, model());
-        let results = m.run(|env| {
-            if env.rank() == 0 {
-                for i in 0..10u64 {
-                    let mut b = PackBuffer::new();
-                    b.push_u64(i);
-                    env.send(1, b).unwrap();
-                }
-                Vec::new()
-            } else {
-                (0..10)
-                    .map(|_| env.recv(0).unwrap().payload.cursor().read_u64())
-                    .collect()
-            }
-        });
+        let results = m.run_tasks(&10, stream_task);
         assert_eq!(results[1], (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn message_src_is_stamped() {
         let m = Multicomputer::virtual_machine(3, model());
-        let results = m.run(|env| {
-            if env.rank() == 2 {
-                let a = env.recv(0).unwrap().src;
-                let b = env.recv(1).unwrap().src;
-                (a, b)
-            } else {
-                env.send(2, PackBuffer::new()).unwrap();
-                (usize::MAX, usize::MAX)
-            }
+        let results = m.run_tasks(&(), |(), env| {
+            Box::pin(async move {
+                if env.rank() == 2 {
+                    let a = env.recv_async(0).await.unwrap().src;
+                    let b = env.recv_async(1).await.unwrap().src;
+                    (a, b)
+                } else {
+                    env.send(2, PackBuffer::new()).unwrap();
+                    (usize::MAX, usize::MAX)
+                }
+            })
         });
         assert_eq!(results[2], (0, 1));
     }
@@ -1918,14 +1639,16 @@ mod tests {
         // Ring of 4 with t_hop = 5: 0→2 is 2 hops.
         let hop_model = MachineModel::new(10.0, 2.0, 1.0).with_hop_cost(5.0);
         let m = Multicomputer::virtual_with_topology(4, hop_model, Topology::Ring);
-        let (_, ledgers) = m.run_with_ledgers(|env| {
-            if env.rank() == 0 {
-                let mut b = PackBuffer::new();
-                b.push_u64_slice(&[1, 2, 3]);
-                env.send(2, b).unwrap();
-            } else if env.rank() == 2 {
-                env.recv(0).unwrap();
-            }
+        let (_, ledgers) = m.run_tasks_with_ledgers(&(), |(), env| {
+            Box::pin(async move {
+                if env.rank() == 0 {
+                    let mut b = PackBuffer::new();
+                    b.push_u64_slice(&[1, 2, 3]);
+                    env.send(2, b).unwrap();
+                } else if env.rank() == 2 {
+                    env.recv_async(0).await.unwrap();
+                }
+            })
         });
         // 10 startup + 2 hops * 5 + 3 elems * 2 = 26 µs.
         assert_eq!(ledgers[0].get(Phase::Send).as_micros(), 26.0);
@@ -1940,12 +1663,14 @@ mod tests {
     #[test]
     fn nested_phases_restore_outer() {
         let m = Multicomputer::virtual_machine(1, model());
-        let (_, ledgers) = m.run_with_ledgers(|env| {
-            env.phase(Phase::Pack, |env| {
-                env.charge_ops(1);
-                env.phase(Phase::Unpack, |env| env.charge_ops(2));
-                env.charge_ops(4);
-            });
+        let (_, ledgers) = m.run_tasks_with_ledgers(&(), |(), env| {
+            Box::pin(async move {
+                env.phase(Phase::Pack, |env| {
+                    env.charge_ops(1);
+                    env.phase(Phase::Unpack, |env| env.charge_ops(2));
+                    env.charge_ops(4);
+                });
+            })
         });
         assert_eq!(ledgers[0].get(Phase::Pack).as_micros(), 5.0);
         assert_eq!(ledgers[0].get(Phase::Unpack).as_micros(), 2.0);
@@ -1954,19 +1679,21 @@ mod tests {
     #[test]
     fn wire_stats_count_messages_elements_and_bytes() {
         let m = Multicomputer::virtual_machine(2, model());
-        let (_, ledgers) = m.run_with_ledgers(|env| {
-            if env.rank() == 0 {
-                let mut b = PackBuffer::new();
-                b.push_u64_slice(&[1, 2, 3]); // 3 elems, 24 bytes
-                env.send(1, b).unwrap();
-                let mut c = PackBuffer::new();
-                c.push_raw(&[b'S', b'2', 0]);
-                c.push_varint(300); // 1 elem, 3 header + 2 varint bytes
-                env.send(1, c).unwrap();
-            } else {
-                env.recv(0).unwrap();
-                env.recv(0).unwrap();
-            }
+        let (_, ledgers) = m.run_tasks_with_ledgers(&(), |(), env| {
+            Box::pin(async move {
+                if env.rank() == 0 {
+                    let mut b = PackBuffer::new();
+                    b.push_u64_slice(&[1, 2, 3]); // 3 elems, 24 bytes
+                    env.send(1, b).unwrap();
+                    let mut c = PackBuffer::new();
+                    c.push_raw(&[b'S', b'2', 0]);
+                    c.push_varint(300); // 1 elem, 3 header + 2 varint bytes
+                    env.send(1, c).unwrap();
+                } else {
+                    env.recv_async(0).await.unwrap();
+                    env.recv_async(0).await.unwrap();
+                }
+            })
         });
         let w = ledgers[0].wire();
         assert_eq!(
@@ -1990,14 +1717,16 @@ mod tests {
                 timeout_us: 10.0,
                 backoff: 2.0,
             });
-        let (_, ledgers) = m.run_with_ledgers(|env| {
-            if env.rank() == 0 {
-                let mut b = PackBuffer::new();
-                b.push_u64_slice(&[1, 2, 3]);
-                let _ = env.send(1, b);
-            } else {
-                let _ = env.recv(0);
-            }
+        let (_, ledgers) = m.run_tasks_with_ledgers(&(), |(), env| {
+            Box::pin(async move {
+                if env.rank() == 0 {
+                    let mut b = PackBuffer::new();
+                    b.push_u64_slice(&[1, 2, 3]);
+                    let _ = env.send(1, b);
+                } else {
+                    let _ = env.recv_async(0).await;
+                }
+            })
         });
         // 3 physical attempts of the same 3-element, 24-byte frame; the
         // poison frame is control traffic, not data.
@@ -2014,14 +1743,15 @@ mod tests {
     #[test]
     fn arena_persists_across_runs() {
         let m = Multicomputer::virtual_machine(2, model());
-        m.run(|env| {
-            let mut b = env.arena().checkout(256);
-            b.push_u64(env.rank() as u64);
-            let arena = env.arena();
-            arena.recycle(b);
+        m.run_tasks(&(), |(), env| {
+            Box::pin(async move {
+                let mut b = env.arena().checkout(256);
+                b.push_u64(env.rank() as u64);
+                env.arena().recycle(b);
+            })
         });
         // The second run sees the allocations recycled by the first.
-        let pooled = m.run(|env| env.arena().pooled());
+        let pooled = m.run_tasks(&(), |(), env| Box::pin(async move { env.arena().pooled() }));
         assert_eq!(pooled, vec![1, 1]);
         assert_eq!(m.arena(0).pooled(), 1);
     }
@@ -2039,15 +1769,17 @@ mod tests {
     #[test]
     fn reliable_layer_round_trips_without_faults() {
         let m = Multicomputer::virtual_machine(2, model()).with_faults(quiet_plan());
-        let (results, ledgers) = m.run_with_ledgers(|env| {
-            if env.rank() == 0 {
-                let mut b = PackBuffer::new();
-                b.push_u64_slice(&[1, 2, 3]);
-                env.send(1, b).unwrap();
-                0
-            } else {
-                env.recv(0).unwrap().payload.cursor().read_u64() as usize
-            }
+        let (results, ledgers) = m.run_tasks_with_ledgers(&(), |(), env| {
+            Box::pin(async move {
+                if env.rank() == 0 {
+                    let mut b = PackBuffer::new();
+                    b.push_u64_slice(&[1, 2, 3]);
+                    env.send(1, b).unwrap();
+                    0
+                } else {
+                    env.recv_async(0).await.unwrap().payload.cursor().read_u64() as usize
+                }
+            })
         });
         assert_eq!(results, vec![0, 1]);
         assert_eq!(ledgers[1].faults().acks, 1);
@@ -2068,20 +1800,7 @@ mod tests {
                 timeout_us: 50.0,
                 backoff: 2.0,
             });
-        let (results, ledgers) = m.run_with_ledgers(|env| {
-            if env.rank() == 0 {
-                for i in 0..20u64 {
-                    let mut b = PackBuffer::new();
-                    b.push_u64(i);
-                    env.send(1, b).unwrap();
-                }
-                Vec::new()
-            } else {
-                (0..20)
-                    .map(|_| env.recv(0).unwrap().payload.cursor().read_u64())
-                    .collect()
-            }
-        });
+        let (results, ledgers) = m.run_tasks_with_ledgers(&20, stream_task);
         assert_eq!(results[1], (0..20).collect::<Vec<_>>());
         let retries = ledgers[0].faults().retries;
         assert!(retries > 0, "a 50% drop rate must force retries");
@@ -2106,24 +1825,25 @@ mod tests {
                 timeout_us: 10.0,
                 backoff: 1.5,
             });
-        let (results, ledgers) = m.run_with_ledgers(|env| {
-            if env.rank() == 0 {
-                for i in 0..20u64 {
-                    let mut b = PackBuffer::new();
-                    b.push_u64(i * 1000);
-                    b.push_f64(i as f64);
-                    env.send(1, b).unwrap();
-                }
-                Vec::new()
-            } else {
-                (0..20)
-                    .map(|_| {
-                        let msg = env.recv(0).unwrap();
+        let (results, ledgers) = m.run_tasks_with_ledgers(&(), |(), env| {
+            Box::pin(async move {
+                let mut got = Vec::new();
+                if env.rank() == 0 {
+                    for i in 0..20u64 {
+                        let mut b = PackBuffer::new();
+                        b.push_u64(i * 1000);
+                        b.push_f64(i as f64);
+                        env.send(1, b).unwrap();
+                    }
+                } else {
+                    for _ in 0..20 {
+                        let msg = env.recv_async(0).await.unwrap();
                         let mut c = msg.payload.cursor();
-                        (c.read_u64(), c.read_f64())
-                    })
-                    .collect()
-            }
+                        got.push((c.read_u64(), c.read_f64()));
+                    }
+                }
+                got
+            })
         });
         let want: Vec<(u64, f64)> = (0..20).map(|i| (i * 1000, i as f64)).collect();
         assert_eq!(results[1], want, "all payloads must arrive uncorrupted");
@@ -2139,16 +1859,18 @@ mod tests {
     fn delayed_messages_arrive_late_but_intact() {
         let plan = FaultPlan::new(5).with_delay(1.0, 500.0);
         let m = Multicomputer::virtual_machine(2, model()).with_faults(plan);
-        let (results, ledgers) = m.run_with_ledgers(|env| {
-            if env.rank() == 0 {
-                let mut b = PackBuffer::new();
-                b.push_u64(9);
-                env.send(1, b).unwrap();
-                0.0
-            } else {
-                env.recv(0).unwrap();
-                env.now().as_micros()
-            }
+        let (results, ledgers) = m.run_tasks_with_ledgers(&(), |(), env| {
+            Box::pin(async move {
+                if env.rank() == 0 {
+                    let mut b = PackBuffer::new();
+                    b.push_u64(9);
+                    env.send(1, b).unwrap();
+                    0.0
+                } else {
+                    env.recv_async(0).await.unwrap();
+                    env.now().as_micros()
+                }
+            })
         });
         // Send costs 10 + 1*2 = 12 µs, plus the injected 500 µs delay.
         assert!(
@@ -2176,16 +1898,19 @@ mod tests {
                 timeout_us: 10.0,
                 backoff: 2.0,
             });
-        let results = m.run(|env| {
-            if env.rank() == 0 {
-                let mut b = PackBuffer::new();
-                b.push_u64(1);
-                env.send(1, b).map(|_| 0u64).map_err(|e| e.to_string())
-            } else {
-                env.recv(0)
-                    .map(|m| m.payload.cursor().read_u64())
-                    .map_err(|e| e.to_string())
-            }
+        let results = m.run_tasks(&(), |(), env| {
+            Box::pin(async move {
+                if env.rank() == 0 {
+                    let mut b = PackBuffer::new();
+                    b.push_u64(1);
+                    env.send(1, b).map(|_| 0u64).map_err(|e| e.to_string())
+                } else {
+                    env.recv_async(0)
+                        .await
+                        .map(|m| m.payload.cursor().read_u64())
+                        .map_err(|e| e.to_string())
+                }
+            })
         });
         let sender_err = results[0].clone().unwrap_err();
         let receiver_err = results[1].clone().unwrap_err();
@@ -2203,14 +1928,16 @@ mod tests {
                 timeout_us: 10.0,
                 backoff: 2.0,
             });
-        let (_, ledgers) = m.run_with_ledgers(|env| {
-            if env.rank() == 0 {
-                let mut b = PackBuffer::new();
-                b.push_u64_slice(&[1, 2, 3]);
-                let _ = env.send(1, b);
-            } else {
-                let _ = env.recv(0);
-            }
+        let (_, ledgers) = m.run_tasks_with_ledgers(&(), |(), env| {
+            Box::pin(async move {
+                if env.rank() == 0 {
+                    let mut b = PackBuffer::new();
+                    b.push_u64_slice(&[1, 2, 3]);
+                    let _ = env.send(1, b);
+                } else {
+                    let _ = env.recv_async(0).await;
+                }
+            })
         });
         // Attempt 0 books to Send (10 + 3*2 = 16 µs); attempts 1-2 book
         // their wire cost to Retry along with timeouts 10 and 20 µs:
@@ -2220,37 +1947,58 @@ mod tests {
         assert_eq!(ledgers[0].faults().retries, 2);
     }
 
-    #[test]
-    fn fault_runs_are_deterministic() {
-        let run_once = || {
-            let plan = FaultPlan::new(11)
-                .with_drop(0.3)
-                .with_corrupt(0.2)
-                .with_delay(0.1, 80.0);
-            let m = Multicomputer::virtual_machine(3, model())
-                .with_faults(plan)
-                .with_retry_policy(RetryPolicy {
-                    max_retries: 20,
-                    timeout_us: 25.0,
-                    backoff: 2.0,
-                });
-            m.run_with_ledgers(|env| {
-                if env.rank() == 0 {
-                    for dst in 1..env.nprocs() {
-                        for i in 0..10u64 {
-                            let mut b = PackBuffer::new();
-                            b.push_u64_slice(&[i; 5]);
+    /// Rank 0 sends ten 5-element frames to every other rank (charging
+    /// `compute` ops after each destination's batch when `nonblocking`,
+    /// then draining the NIC); every other rank returns the number of
+    /// elements it received.
+    fn batches_task<'e>(nonblocking: &'e bool, env: &'e mut Env) -> TaskFuture<'e, u64> {
+        Box::pin(async move {
+            if env.rank() == 0 {
+                for dst in 1..env.nprocs() {
+                    for i in 0..10u64 {
+                        let mut b = PackBuffer::new();
+                        b.push_u64_slice(&[i; 5]);
+                        if *nonblocking {
+                            env.phase(Phase::Send, |env| env.isend(dst, b)).unwrap();
+                        } else {
                             env.send(dst, b).unwrap();
                         }
                     }
-                    0
-                } else {
-                    (0..10)
-                        .map(|_| env.recv(0).unwrap().payload.elem_count())
-                        .sum::<u64>()
+                    if *nonblocking {
+                        env.phase(Phase::Encode, |env| env.charge_ops(37));
+                    }
                 }
+                if *nonblocking {
+                    env.phase(Phase::Send, |env| env.wait_all());
+                }
+                0
+            } else {
+                let mut got = 0;
+                for _ in 0..10 {
+                    got += env.recv_async(0).await.unwrap().payload.elem_count();
+                }
+                got
+            }
+        })
+    }
+
+    fn noisy_three_ranks() -> Multicomputer {
+        let plan = FaultPlan::new(11)
+            .with_drop(0.3)
+            .with_corrupt(0.2)
+            .with_delay(0.1, 80.0);
+        Multicomputer::virtual_machine(3, model())
+            .with_faults(plan)
+            .with_retry_policy(RetryPolicy {
+                max_retries: 20,
+                timeout_us: 25.0,
+                backoff: 2.0,
             })
-        };
+    }
+
+    #[test]
+    fn fault_runs_are_deterministic() {
+        let run_once = || noisy_three_ranks().run_tasks_with_ledgers(&false, batches_task);
         let (ra, la) = run_once();
         let (rb, lb) = run_once();
         assert_eq!(ra, rb);
@@ -2264,34 +2012,40 @@ mod tests {
     fn dead_peer_errors_immediately() {
         let plan = FaultPlan::new(0).with_dead_rank(1);
         let m = Multicomputer::virtual_machine(3, model()).with_faults(plan);
-        let results = m.run(|env| {
-            if env.rank() == 0 {
-                let send_err = env.send(1, PackBuffer::new()).unwrap_err();
-                let recv_err = env.recv(1).unwrap_err();
-                assert_eq!(send_err, CommError::PeerDead { rank: 1 });
-                assert_eq!(recv_err, CommError::PeerDead { rank: 1 });
-                // Traffic to live ranks is unaffected.
-                env.send(2, PackBuffer::new()).unwrap();
-                "sent"
-            } else if env.rank() == 2 {
-                env.recv(0).unwrap();
-                "got"
-            } else {
-                // The dead rank itself cannot communicate.
-                assert!(env.send(0, PackBuffer::new()).is_err());
-                "dead"
-            }
+        let results = m.run_tasks(&(), |(), env| {
+            Box::pin(async move {
+                if env.rank() == 0 {
+                    let send_err = env.send(1, PackBuffer::new()).unwrap_err();
+                    let recv_err = env.recv_async(1).await.unwrap_err();
+                    assert_eq!(send_err, CommError::PeerDead { rank: 1 });
+                    assert_eq!(recv_err, CommError::PeerDead { rank: 1 });
+                    // Traffic to live ranks is unaffected.
+                    env.send(2, PackBuffer::new()).unwrap();
+                    "sent"
+                } else if env.rank() == 2 {
+                    env.recv_async(0).await.unwrap();
+                    "got"
+                } else {
+                    // The dead rank itself cannot communicate.
+                    assert!(env.send(0, PackBuffer::new()).is_err());
+                    "dead"
+                }
+            })
         });
         assert_eq!(results, vec!["sent", "dead", "got"]);
     }
 
     #[test]
     fn alive_ranks_reflect_plan() {
+        let probe = |m: &Multicomputer| {
+            m.run_tasks(&(), |(), env| {
+                Box::pin(async move { (env.lowest_alive_rank(), env.is_rank_dead(env.rank())) })
+            })
+        };
         let plan = FaultPlan::new(0).with_dead_rank(0).with_dead_rank(2);
         let m = Multicomputer::virtual_machine(4, model()).with_faults(plan);
-        let alive = m.run(|env| (env.lowest_alive_rank(), env.is_rank_dead(env.rank())));
         assert_eq!(
-            alive,
+            probe(&m),
             vec![
                 (Some(1), true),
                 (Some(1), false),
@@ -2300,40 +2054,13 @@ mod tests {
             ]
         );
         let healthy = Multicomputer::virtual_machine(3, model());
-        assert_eq!(healthy.run(|env| env.lowest_alive_rank()), vec![Some(0); 3]);
+        assert_eq!(probe(&healthy), vec![(Some(0), false); 3]);
         let all_dead = (0..3).fold(FaultPlan::new(0), |p, r| p.with_dead_rank(r));
         let doomed = Multicomputer::virtual_machine(3, model()).with_faults(all_dead);
-        assert_eq!(doomed.run(|env| env.lowest_alive_rank()), vec![None; 3]);
+        assert_eq!(probe(&doomed), vec![(None, true); 3]);
     }
 
-    #[test]
-    fn wall_clock_mode_recovers_from_faults_too() {
-        let plan = FaultPlan::new(21).with_drop(0.4).with_corrupt(0.2);
-        let m = Multicomputer::wall_clock(2)
-            .with_faults(plan)
-            .with_retry_policy(RetryPolicy {
-                max_retries: 24,
-                timeout_us: 1.0,
-                backoff: 1.1,
-            });
-        let results = m.run(|env| {
-            if env.rank() == 0 {
-                for i in 0..30u64 {
-                    let mut b = PackBuffer::new();
-                    b.push_u64(i);
-                    env.send(1, b).unwrap();
-                }
-                0
-            } else {
-                (0..30)
-                    .map(|_| env.recv(0).unwrap().payload.cursor().read_u64())
-                    .sum::<u64>()
-            }
-        });
-        assert_eq!(results[1], (0..30).sum::<u64>());
-    }
-
-    // ---- nonblocking sends (isend / wait_all / irecv) ----
+    // ---- nonblocking sends (isend / wait_all) ----
 
     #[test]
     fn isend_overlaps_compute_with_transfer() {
@@ -2341,16 +2068,18 @@ mod tests {
         // the NIC drains, then waits: makespan is max(20, 12) = 20 µs, not
         // the blocking 20 + 12 = 32 µs.
         let m = Multicomputer::virtual_machine(2, model());
-        let (_, ledgers) = m.run_with_ledgers(|env| {
-            if env.rank() == 0 {
-                let mut b = PackBuffer::new();
-                b.push_u64_slice(&[1, 2, 3, 4, 5]);
-                env.phase(Phase::Send, |env| env.isend(1, b)).unwrap();
-                env.phase(Phase::Encode, |env| env.charge_ops(12));
-                env.phase(Phase::Send, |env| env.wait_all());
-            } else {
-                env.recv(0).unwrap();
-            }
+        let (_, ledgers) = m.run_tasks_with_ledgers(&(), |(), env| {
+            Box::pin(async move {
+                if env.rank() == 0 {
+                    let mut b = PackBuffer::new();
+                    b.push_u64_slice(&[1, 2, 3, 4, 5]);
+                    env.phase(Phase::Send, |env| env.isend(1, b)).unwrap();
+                    env.phase(Phase::Encode, |env| env.charge_ops(12));
+                    env.phase(Phase::Send, |env| env.wait_all());
+                } else {
+                    env.recv_async(0).await.unwrap();
+                }
+            })
         });
         // isend itself is free; wait_all books the 20 − 12 = 8 µs drain.
         assert_eq!(ledgers[0].get(Phase::Encode).as_micros(), 12.0);
@@ -2366,22 +2095,24 @@ mod tests {
         // and 20 + 12 = 32 µs, exactly the blocking totals — only the
         // sender-side attribution moves.
         let m = Multicomputer::virtual_machine(3, model());
-        let (_, ledgers) = m.run_with_ledgers(|env| {
-            if env.rank() == 0 {
-                let mut a = PackBuffer::new();
-                a.push_u64_slice(&[1, 2, 3, 4, 5]); // 10 + 5·2 = 20 µs
-                let mut b = PackBuffer::new();
-                b.push_u64(9); // 10 + 1·2 = 12 µs
-                env.phase(Phase::Send, |env| {
-                    env.isend(1, a)?;
-                    env.isend(2, b)?;
-                    env.wait_all();
-                    Ok::<(), CommError>(())
-                })
-                .unwrap();
-            } else {
-                env.recv(0).unwrap();
-            }
+        let (_, ledgers) = m.run_tasks_with_ledgers(&(), |(), env| {
+            Box::pin(async move {
+                if env.rank() == 0 {
+                    let mut a = PackBuffer::new();
+                    a.push_u64_slice(&[1, 2, 3, 4, 5]); // 10 + 5·2 = 20 µs
+                    let mut b = PackBuffer::new();
+                    b.push_u64(9); // 10 + 1·2 = 12 µs
+                    env.phase(Phase::Send, |env| {
+                        env.isend(1, a)?;
+                        env.isend(2, b)?;
+                        env.wait_all();
+                        Ok::<(), CommError>(())
+                    })
+                    .unwrap();
+                } else {
+                    env.recv_async(0).await.unwrap();
+                }
+            })
         });
         assert_eq!(ledgers[0].get(Phase::Send).as_micros(), 32.0);
         assert_eq!(
@@ -2399,16 +2130,18 @@ mod tests {
     #[test]
     fn wait_all_is_a_noop_when_cpu_ran_past_the_nic() {
         let m = Multicomputer::virtual_machine(2, model());
-        let (_, ledgers) = m.run_with_ledgers(|env| {
-            if env.rank() == 0 {
-                env.phase(Phase::Send, |env| env.isend(1, PackBuffer::new()))
-                    .unwrap();
-                env.charge_ops(1_000); // sails far past the 10 µs arrival
-                env.phase(Phase::Send, |env| env.wait_all());
-                env.wait_all(); // second drain: nothing left
-            } else {
-                env.recv(0).unwrap();
-            }
+        let (_, ledgers) = m.run_tasks_with_ledgers(&(), |(), env| {
+            Box::pin(async move {
+                if env.rank() == 0 {
+                    env.phase(Phase::Send, |env| env.isend(1, PackBuffer::new()))
+                        .unwrap();
+                    env.charge_ops(1_000); // sails far past the 10 µs arrival
+                    env.phase(Phase::Send, |env| env.wait_all());
+                    env.wait_all(); // second drain: nothing left
+                } else {
+                    env.recv_async(0).await.unwrap();
+                }
+            })
         });
         assert_eq!(ledgers[0].get(Phase::Send).as_micros(), 0.0);
         assert_eq!(ledgers[0].busy_total().as_micros(), 1_000.0);
@@ -2430,23 +2163,25 @@ mod tests {
                     timeout_us: 50.0,
                     backoff: 2.0,
                 });
-            let (_, ledgers) = m.run_with_ledgers(move |env| {
-                if env.rank() == 0 {
-                    for i in 0..8u64 {
-                        let mut b = PackBuffer::new();
-                        b.push_u64(i);
-                        if nonblocking {
-                            env.phase(Phase::Send, |env| env.isend(1, b)).unwrap();
-                        } else {
-                            env.phase(Phase::Send, |env| env.send(1, b)).unwrap();
+            let (_, ledgers) = m.run_tasks_with_ledgers(&nonblocking, |&nonblocking, env| {
+                Box::pin(async move {
+                    if env.rank() == 0 {
+                        for i in 0..8u64 {
+                            let mut b = PackBuffer::new();
+                            b.push_u64(i);
+                            if nonblocking {
+                                env.phase(Phase::Send, |env| env.isend(1, b)).unwrap();
+                            } else {
+                                env.phase(Phase::Send, |env| env.send(1, b)).unwrap();
+                            }
+                        }
+                        env.phase(Phase::Send, |env| env.wait_all());
+                    } else {
+                        for _ in 0..8 {
+                            env.recv_async(0).await.unwrap();
                         }
                     }
-                    env.phase(Phase::Send, |env| env.wait_all());
-                } else {
-                    for _ in 0..8 {
-                        env.recv(0).unwrap();
-                    }
-                }
+                })
             });
             ledgers
         };
@@ -2472,20 +2207,22 @@ mod tests {
                 timeout_us: 10.0,
                 backoff: 2.0,
             });
-        let (_, ledgers) = m.run_with_ledgers(|env| {
-            if env.rank() == 0 {
-                let mut b = PackBuffer::new();
-                b.push_u64_slice(&[1, 2, 3]);
-                let err = env.phase(Phase::Send, |env| env.isend(1, b)).unwrap_err();
-                assert!(matches!(
-                    err,
-                    CommError::RetriesExhausted { attempts: 3, .. }
-                ));
-                env.phase(Phase::Send, |env| env.wait_all());
-            } else {
-                let err = env.recv(0).unwrap_err();
-                assert!(matches!(err, CommError::RetriesExhausted { .. }));
-            }
+        let (_, ledgers) = m.run_tasks_with_ledgers(&(), |(), env| {
+            Box::pin(async move {
+                if env.rank() == 0 {
+                    let mut b = PackBuffer::new();
+                    b.push_u64_slice(&[1, 2, 3]);
+                    let err = env.phase(Phase::Send, |env| env.isend(1, b)).unwrap_err();
+                    assert!(matches!(
+                        err,
+                        CommError::RetriesExhausted { attempts: 3, .. }
+                    ));
+                    env.phase(Phase::Send, |env| env.wait_all());
+                } else {
+                    let err = env.recv_async(0).await.unwrap_err();
+                    assert!(matches!(err, CommError::RetriesExhausted { .. }));
+                }
+            })
         });
         assert_eq!(ledgers[0].get(Phase::Send).as_micros(), 16.0);
         assert_eq!(ledgers[0].get(Phase::Retry).as_micros(), 62.0);
@@ -2502,9 +2239,9 @@ mod tests {
 
     #[test]
     fn async_arq_recovery_hides_behind_compute() {
-        // The point of the tentpole: ARQ recovery runs on the NIC while the
-        // CPU computes, so a long enough compute block swallows wire time,
-        // timeouts and retransmissions alike.
+        // ARQ recovery runs on the NIC while the CPU computes, so a long
+        // enough compute block swallows wire time, timeouts and
+        // retransmissions alike.
         let plan = FaultPlan::new(7).with_drop(0.3);
         let m = Multicomputer::virtual_machine(2, model())
             .with_faults(plan)
@@ -2513,20 +2250,22 @@ mod tests {
                 timeout_us: 10.0,
                 backoff: 1.5,
             });
-        let (_, ledgers) = m.run_with_ledgers(|env| {
-            if env.rank() == 0 {
-                for i in 0..12u64 {
-                    let mut b = PackBuffer::new();
-                    b.push_u64(i);
-                    env.phase(Phase::Send, |env| env.isend(1, b)).unwrap();
+        let (_, ledgers) = m.run_tasks_with_ledgers(&(), |(), env| {
+            Box::pin(async move {
+                if env.rank() == 0 {
+                    for i in 0..12u64 {
+                        let mut b = PackBuffer::new();
+                        b.push_u64(i);
+                        env.phase(Phase::Send, |env| env.isend(1, b)).unwrap();
+                    }
+                    env.phase(Phase::Encode, |env| env.charge_ops(10_000));
+                    env.phase(Phase::Send, |env| env.wait_all());
+                } else {
+                    for _ in 0..12 {
+                        env.recv_async(0).await.unwrap();
+                    }
                 }
-                env.phase(Phase::Encode, |env| env.charge_ops(10_000));
-                env.phase(Phase::Send, |env| env.wait_all());
-            } else {
-                for _ in 0..12 {
-                    env.recv(0).unwrap();
-                }
-            }
+            })
         });
         assert!(
             ledgers[0].faults().retries > 0,
@@ -2540,37 +2279,7 @@ mod tests {
 
     #[test]
     fn async_fault_runs_are_bit_deterministic() {
-        let run_once = || {
-            let plan = FaultPlan::new(11)
-                .with_drop(0.3)
-                .with_corrupt(0.2)
-                .with_delay(0.1, 80.0);
-            let m = Multicomputer::virtual_machine(3, model())
-                .with_faults(plan)
-                .with_retry_policy(RetryPolicy {
-                    max_retries: 20,
-                    timeout_us: 25.0,
-                    backoff: 2.0,
-                });
-            m.run_with_ledgers(|env| {
-                if env.rank() == 0 {
-                    for dst in 1..env.nprocs() {
-                        for i in 0..10u64 {
-                            let mut b = PackBuffer::new();
-                            b.push_u64_slice(&[i; 5]);
-                            env.phase(Phase::Send, |env| env.isend(dst, b)).unwrap();
-                        }
-                        env.phase(Phase::Encode, |env| env.charge_ops(37));
-                    }
-                    env.phase(Phase::Send, |env| env.wait_all());
-                    0
-                } else {
-                    (0..10)
-                        .map(|_| env.recv(0).unwrap().payload.elem_count())
-                        .sum::<u64>()
-                }
-            })
-        };
+        let run_once = || noisy_three_ranks().run_tasks_with_ledgers(&true, batches_task);
         let (ra, la) = run_once();
         let (rb, lb) = run_once();
         assert_eq!(ra, rb);
@@ -2589,22 +2298,25 @@ mod tests {
         // the dying receiver observes it via the death notice.
         let plan = FaultPlan::new(0).with_death_at(1, 20.0);
         let m = Multicomputer::virtual_machine(2, model()).with_faults(plan);
-        let results = m.run(|env| {
-            if env.rank() == 0 {
-                let mut b = PackBuffer::new();
-                b.push_u64(1);
-                env.send(1, b).unwrap();
-                let mut b = PackBuffer::new();
-                b.push_u64(2);
-                let err = env.send(1, b).unwrap_err();
-                assert_eq!(err, CommError::PeerDead { rank: 1 });
-                "detected"
-            } else {
-                assert_eq!(env.recv(0).unwrap().payload.cursor().read_u64(), 1);
-                let err = env.recv(0).unwrap_err();
-                assert_eq!(err, CommError::PeerDead { rank: 1 });
-                "observed"
-            }
+        let results = m.run_tasks(&(), |(), env| {
+            Box::pin(async move {
+                if env.rank() == 0 {
+                    let mut b = PackBuffer::new();
+                    b.push_u64(1);
+                    env.send(1, b).unwrap();
+                    let mut b = PackBuffer::new();
+                    b.push_u64(2);
+                    let err = env.send(1, b).unwrap_err();
+                    assert_eq!(err, CommError::PeerDead { rank: 1 });
+                    "detected"
+                } else {
+                    let first = env.recv_async(0).await.unwrap();
+                    assert_eq!(first.payload.cursor().read_u64(), 1);
+                    let err = env.recv_async(0).await.unwrap_err();
+                    assert_eq!(err, CommError::PeerDead { rank: 1 });
+                    "observed"
+                }
+            })
         });
         assert_eq!(results, vec!["detected", "observed"]);
     }
@@ -2616,23 +2328,25 @@ mod tests {
         // cannot land before rank 1 dies at t = 20.
         let plan = FaultPlan::new(0).with_death_at(1, 20.0);
         let m = Multicomputer::virtual_machine(2, model()).with_faults(plan);
-        m.run(|env| {
-            if env.rank() == 0 {
-                env.phase(Phase::Send, |env| {
-                    let mut b = PackBuffer::new();
-                    b.push_u64(1);
-                    env.isend(1, b).unwrap();
-                    let mut b = PackBuffer::new();
-                    b.push_u64(2);
-                    let err = env.isend(1, b).unwrap_err();
+        m.run_tasks(&(), |(), env| {
+            Box::pin(async move {
+                if env.rank() == 0 {
+                    env.phase(Phase::Send, |env| {
+                        let mut b = PackBuffer::new();
+                        b.push_u64(1);
+                        env.isend(1, b).unwrap();
+                        let mut b = PackBuffer::new();
+                        b.push_u64(2);
+                        let err = env.isend(1, b).unwrap_err();
+                        assert_eq!(err, CommError::PeerDead { rank: 1 });
+                        env.wait_all();
+                    });
+                } else {
+                    env.recv_async(0).await.unwrap();
+                    let err = env.recv_async(0).await.unwrap_err();
                     assert_eq!(err, CommError::PeerDead { rank: 1 });
-                    env.wait_all();
-                });
-            } else {
-                env.recv(0).unwrap();
-                let err = env.recv(0).unwrap_err();
-                assert_eq!(err, CommError::PeerDead { rank: 1 });
-            }
+                }
+            })
         });
     }
 
@@ -2640,15 +2354,17 @@ mod tests {
     fn a_rank_past_its_own_death_cannot_send() {
         let plan = FaultPlan::new(0).with_death_at(0, 50.0);
         let m = Multicomputer::virtual_machine(2, model()).with_faults(plan);
-        m.run(|env| {
-            if env.rank() == 0 {
-                env.charge_ops(100); // sail past the death instant
-                let err = env.send(1, PackBuffer::new()).unwrap_err();
-                assert_eq!(err, CommError::PeerDead { rank: 0 });
-            } else {
-                let err = env.recv(0).unwrap_err();
-                assert_eq!(err, CommError::PeerDead { rank: 0 });
-            }
+        m.run_tasks(&(), |(), env| {
+            Box::pin(async move {
+                if env.rank() == 0 {
+                    env.charge_ops(100); // sail past the death instant
+                    let err = env.send(1, PackBuffer::new()).unwrap_err();
+                    assert_eq!(err, CommError::PeerDead { rank: 0 });
+                } else {
+                    let err = env.recv_async(0).await.unwrap_err();
+                    assert_eq!(err, CommError::PeerDead { rank: 0 });
+                }
+            })
         });
     }
 
@@ -2659,25 +2375,27 @@ mod tests {
             let m = Multicomputer::virtual_machine(3, model())
                 .with_faults(plan)
                 .with_retry_policy(RetryPolicy::with_retries(10));
-            m.run_with_ledgers(|env| {
-                if env.rank() == 0 {
-                    let mut delivered = 0u64;
-                    for i in 0..20u64 {
-                        let mut b = PackBuffer::new();
-                        b.push_u64_slice(&[i; 4]);
-                        let dst = 1 + (i % 2) as usize;
-                        if env.send(dst, b).is_ok() {
-                            delivered += 1;
+            m.run_tasks_with_ledgers(&(), |(), env| {
+                Box::pin(async move {
+                    if env.rank() == 0 {
+                        let mut delivered = 0u64;
+                        for i in 0..20u64 {
+                            let mut b = PackBuffer::new();
+                            b.push_u64_slice(&[i; 4]);
+                            let dst = 1 + (i % 2) as usize;
+                            if env.send(dst, b).is_ok() {
+                                delivered += 1;
+                            }
                         }
+                        delivered
+                    } else {
+                        let mut got = 0u64;
+                        while let Ok(m) = env.recv_async(0).await {
+                            got += m.payload.elem_count();
+                        }
+                        got
                     }
-                    delivered
-                } else {
-                    let mut got = 0u64;
-                    while let Ok(m) = env.recv(0) {
-                        got += m.payload.elem_count();
-                    }
-                    got
-                }
+                })
             })
         };
         let (ra, la) = run_once();
@@ -2690,19 +2408,22 @@ mod tests {
 
     // ---- watchdog ----
 
+    /// Both ranks wait on each other without anyone sending — a
+    /// deliberate protocol bug that would deadlock forever.
+    fn deadlock_task(env: &mut Env) -> TaskFuture<'_, String> {
+        Box::pin(async move {
+            let peer = 1 - env.rank();
+            env.recv_async(peer).await.unwrap_err().to_string()
+        })
+    }
+
     #[test]
     fn watchdog_unblocks_a_protocol_stall() {
-        // Both ranks wait on each other without anyone sending — a
-        // deliberate protocol bug that would deadlock forever. The
-        // watchdog turns it into a typed error.
+        // On the threaded executor the watchdog turns the deadlock into a
+        // typed error.
         let m = Multicomputer::virtual_machine(2, model()).with_watchdog(Duration::from_millis(50));
-        let results = m.run(|env| {
-            let peer = 1 - env.rank();
-            env.recv(peer)
-                .map(|_| String::new())
-                .unwrap_err()
-                .to_string()
-        });
+        assert_eq!(m.task_engine(), EngineKind::Threaded);
+        let results = m.run_tasks(&(), |(), env| deadlock_task(env));
         // Whichever rank times out first unblocks the other by dropping
         // its channels, so the peer may see a disconnect instead.
         for err in &results {
@@ -2714,52 +2435,11 @@ mod tests {
         );
     }
 
-    #[test]
-    fn isend_works_in_wall_clock_mode() {
-        let m = Multicomputer::wall_clock(2);
-        let results = m.run(|env| {
-            if env.rank() == 0 {
-                let mut b = PackBuffer::new();
-                b.push_u64(41);
-                env.isend(1, b).unwrap();
-                env.wait_all();
-                0
-            } else {
-                let h = env.irecv(0);
-                env.wait_recv(h).unwrap().payload.cursor().read_u64()
-            }
-        });
-        assert_eq!(results, vec![0, 41]);
-    }
-
-    #[test]
-    fn irecv_completes_in_fifo_order() {
-        let m = Multicomputer::virtual_machine(2, model());
-        let results = m.run(|env| {
-            if env.rank() == 0 {
-                for i in 0..3u64 {
-                    let mut b = PackBuffer::new();
-                    b.push_u64(i);
-                    env.isend(1, b).unwrap();
-                }
-                env.wait_all();
-                Vec::new()
-            } else {
-                let handles: Vec<_> = (0..3).map(|_| env.irecv(0)).collect();
-                handles
-                    .into_iter()
-                    .map(|h| env.wait_recv(h).unwrap().payload.cursor().read_u64())
-                    .collect()
-            }
-        });
-        assert_eq!(results[1], vec![0, 1, 2]);
-    }
-
-    // ---- task engine (run_tasks / event loop) ----
+    // ---- executors (threaded / event loop) ----
 
     /// A rank program exercising sends, faults and async receives: rank 0
     /// fans out batches, everyone else receives until their link closes.
-    fn fan_out_task<'e>(env: &'e mut Env) -> Pin<Box<dyn Future<Output = u64> + 'e>> {
+    fn fan_out_task<'e>(env: &'e mut Env) -> TaskFuture<'e, u64> {
         Box::pin(async move {
             if env.rank() == 0 {
                 let mut delivered = 0u64;
@@ -2787,14 +2467,13 @@ mod tests {
     }
 
     #[test]
-    fn task_engine_auto_selects_by_size_and_mode() {
+    fn task_engine_auto_selects_by_size() {
         let small = Multicomputer::virtual_machine(8, model());
         assert_eq!(small.task_engine(), EngineKind::Threaded);
         let big = Multicomputer::virtual_machine(4096, model());
         assert_eq!(big.task_engine(), EngineKind::EventLoop);
-        // Wall-clock mode has no virtual timeline for the event loop.
-        let wall = Multicomputer::wall_clock(8).with_engine(EngineKind::EventLoop);
-        assert_eq!(wall.task_engine(), EngineKind::Threaded);
+        let forced = Multicomputer::virtual_machine(8, model()).with_engine(EngineKind::EventLoop);
+        assert_eq!(forced.task_engine(), EngineKind::EventLoop);
     }
 
     #[test]
@@ -2873,12 +2552,7 @@ mod tests {
         // event loop: detection is structural (everyone parked), so no
         // wall-clock watchdog is needed and no real time is burned.
         let m = Multicomputer::virtual_machine(2, model()).with_engine(EngineKind::EventLoop);
-        let results = m.run_tasks(&(), |(), env| {
-            Box::pin(async move {
-                let peer = 1 - env.rank();
-                env.recv_async(peer).await.unwrap_err().to_string()
-            })
-        });
+        let results = m.run_tasks(&(), |(), env| deadlock_task(env));
         // Whichever rank errors out first closes its links; the peer may
         // observe either the stall or the disconnect.
         for err in &results {
@@ -2909,24 +2583,26 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "threaded engine supports at most")]
-    fn threaded_closure_engine_rejects_oversized_machines() {
-        let m = Multicomputer::virtual_machine(2048, model());
-        let _ = m.run(|env| env.rank());
+    fn forced_threaded_executor_rejects_oversized_machines() {
+        let m = Multicomputer::virtual_machine(2048, model()).with_engine(EngineKind::Threaded);
+        let _ = m.run_tasks(&(), |(), env| Box::pin(async move { env.rank() }));
     }
 
     #[test]
     fn isend_to_dead_rank_errors() {
         let plan = FaultPlan::new(0).with_dead_rank(1);
         let m = Multicomputer::virtual_machine(2, model()).with_faults(plan);
-        let errs = m.run(|env| {
-            if env.rank() == 0 {
-                matches!(
-                    env.isend(1, PackBuffer::new()),
-                    Err(CommError::PeerDead { rank: 1 })
-                )
-            } else {
-                true
-            }
+        let errs = m.run_tasks(&(), |(), env| {
+            Box::pin(async move {
+                if env.rank() == 0 {
+                    matches!(
+                        env.isend(1, PackBuffer::new()),
+                        Err(CommError::PeerDead { rank: 1 })
+                    )
+                } else {
+                    true
+                }
+            })
         });
         assert!(errs[0]);
     }

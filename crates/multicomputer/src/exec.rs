@@ -2,11 +2,10 @@
 //! one OS thread, scheduled by message availability on the virtual
 //! timeline.
 //!
-//! The threaded engine in [`crate::engine`] spawns one OS thread per rank,
-//! which caps realistic machine sizes at around a thousand ranks. This
-//! module removes that cap. The observation that makes it cheap: in
-//! virtual-time mode the *only* operation that ever blocks on a peer is a
-//! receive — sends charge the local clock and append to an unbounded
+//! The threaded executor in [`crate::engine`] spawns one OS thread per
+//! rank, which caps realistic machine sizes at around a thousand ranks.
+//! This module removes that cap. The observation that makes it cheap: the
+//! *only* operation that ever blocks on a peer is a receive — sends charge the local clock and append to an unbounded
 //! queue, acks are drained opportunistically, and `wait_all` is local NIC
 //! arithmetic. A rank program is therefore an `async` function whose only
 //! suspension points are receives, and the "scheduler" reduces to: run a
@@ -47,17 +46,17 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
-/// Which execution backend a [`crate::Multicomputer`] uses to drive rank
-/// tasks (see [`crate::Multicomputer::run_tasks`]).
+/// Which executor a [`crate::Multicomputer`] uses to drive rank tasks
+/// (see [`crate::Multicomputer::run_tasks`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// One OS thread per simulated rank, connected by a channel matrix —
-    /// the original engine. Every task future completes in a single poll
-    /// because its receives block inside the poll.
+    /// One OS thread per simulated rank, connected by a channel matrix.
+    /// Every task future completes in a single poll because its receives
+    /// block inside the poll.
     Threaded,
     /// Every rank is a resumable task on a single-threaded deterministic
     /// event loop; receives are yield points scheduled by frame
-    /// availability. Virtual-time mode only.
+    /// availability.
     EventLoop,
 }
 
@@ -174,24 +173,6 @@ impl EventFabric {
             st.enqueue(dst);
         }
         Ok(())
-    }
-
-    /// Synchronous receive attempt, for [`crate::Env::recv`] callers that
-    /// reached an event-mode env. Never parks (there is no thread to
-    /// block): an empty link surfaces as a stall, pointing at the API
-    /// contract that event-loop rank programs await their receives.
-    pub(crate) fn try_next_frame(&self, rank: usize, src: usize) -> Result<Frame, CommError> {
-        let mut st = self.state.borrow_mut();
-        if let Some(frame) = st.frames[rank].get_mut(&src).and_then(VecDeque::pop_front) {
-            return Ok(frame);
-        }
-        if st.done[src] {
-            return Err(CommError::Disconnected { peer: src });
-        }
-        Err(CommError::Stalled {
-            src,
-            waited_ms: self.watchdog_ms,
-        })
     }
 
     /// A future resolving to the next frame on the `src → rank` link (or

@@ -5,7 +5,7 @@
 //! is a *seeded, deterministic* description of what goes wrong on the wire:
 //! message drops, payload corruption, delivery delays, and dead ranks,
 //! configurable globally, per-link (`src→dst`), and per-phase. The engine
-//! consults the plan between `send` and `recv`; because every decision is a
+//! consults the plan between `send` and `recv_async`; because every decision is a
 //! pure hash of `(seed, src, dst, seq, attempt)`, two runs with the same
 //! plan inject byte-identical fault sequences no matter how the host
 //! schedules the simulated processors — virtual-time ledgers stay exactly

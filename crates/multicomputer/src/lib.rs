@@ -10,27 +10,20 @@
 //! available here, so this crate provides the closest synthetic equivalent
 //! that exercises the same code paths:
 //!
-//! * an **SPMD engine** ([`Multicomputer`]) that runs one OS thread per
-//!   simulated processor, connected by point-to-point message channels;
+//! * an **SPMD engine** ([`Multicomputer`]) that runs every simulated
+//!   processor as an `async` rank task over point-to-point message links —
+//!   one OS thread per rank up to 1024 ranks, a single-threaded event loop
+//!   ([`exec`]) beyond — with receives as the only yield points;
 //! * **pack/unpack buffers** ([`pack::PackBuffer`], [`pack::UnpackCursor`])
 //!   playing the role of `MPI_Pack`/`MPI_Unpack`;
 //! * an **α-β network cost model** ([`model::MachineModel`]) identical in
 //!   form to the paper's own analysis (`T_Startup`, `T_Data`,
-//!   `T_Operation`), charged on a deterministic **virtual clock**
-//!   ([`time::VirtualTime`]); and
+//!   `T_Operation`), charged on a deterministic per-processor **virtual
+//!   clock** ([`time::VirtualTime`]). Message causality (a receive cannot
+//!   complete before the matching send finished) is respected, so results
+//!   are deterministic and independent of host scheduling; and
 //! * **per-phase timing ledgers** ([`timing::PhaseLedger`]) so a scheme can
 //!   report the paper's `T_Distribution` / `T_Compression` split.
-//!
-//! Two timing modes are supported:
-//!
-//! * [`TimingMode::Virtual`] — every operation and message is *charged* to a
-//!   per-processor virtual clock according to the machine model. Message
-//!   causality (a receive cannot complete before the matching send finished)
-//!   is respected, so results are deterministic and independent of host
-//!   scheduling. This is the mode used to regenerate the paper's tables.
-//! * [`TimingMode::WallClock`] — phases are measured with `Instant` on the
-//!   real host; an optional calibrated per-element wire delay can be
-//!   injected to emulate a slower interconnect than shared memory.
 //!
 //! A deterministic **fault-injection substrate** ([`fault::FaultPlan`])
 //! can be installed with [`Multicomputer::with_faults`]: messages are then
@@ -54,16 +47,18 @@
 //! use sparsedist_multicomputer::timing::Phase;
 //!
 //! let machine = Multicomputer::virtual_machine(4, MachineModel::ibm_sp2());
-//! let results = machine.run(|env| {
-//!     if env.rank() == 0 {
-//!         for dst in 0..env.nprocs() {
-//!             let mut buf = PackBuffer::new();
-//!             buf.push_u64(dst as u64 * 10);
-//!             env.phase(Phase::Send, |env| env.send(dst, buf)).unwrap();
+//! let results = machine.run_tasks(&(), |(), env| {
+//!     Box::pin(async move {
+//!         if env.rank() == 0 {
+//!             for dst in 0..env.nprocs() {
+//!                 let mut buf = PackBuffer::new();
+//!                 buf.push_u64(dst as u64 * 10);
+//!                 env.phase(Phase::Send, |env| env.send(dst, buf)).unwrap();
+//!             }
 //!         }
-//!     }
-//!     let msg = env.recv(0).unwrap();
-//!     msg.payload.cursor().read_u64()
+//!         let msg = env.recv_async(0).await.unwrap();
+//!         msg.payload.cursor().read_u64()
+//!     })
 //! });
 //! assert_eq!(results, vec![0, 10, 20, 30]);
 //! ```
@@ -81,7 +76,7 @@ pub mod timing;
 pub mod topology;
 pub mod trace;
 
-pub use engine::{CommError, Env, Message, Multicomputer, RecvHandle, TimingMode};
+pub use engine::{CommError, Env, Message, Multicomputer, TaskFuture};
 pub use exec::EngineKind;
 pub use explore::{explore, Divergence, Exploration};
 pub use fault::{FaultKind, FaultPlan, FaultSpecError, LinkProbs, RetryPolicy};

@@ -33,8 +33,8 @@ pub enum Phase {
     Unpack,
     /// Decoding the ED special buffer into `RO`/`CO`/`VL`.
     Decode,
-    /// Idle time spent blocked in `recv` waiting for a message that has not
-    /// arrived yet (virtual mode: clock synchronisation jumps).
+    /// Idle time spent in a receive waiting for a message that has not
+    /// arrived yet (clock synchronisation jumps).
     Wait,
     /// Post-distribution computation (SpMV etc. from `sparsedist-ops`).
     Compute,

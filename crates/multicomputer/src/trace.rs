@@ -185,9 +185,9 @@ pub struct RankTrace {
 
 /// Where completed rank traces go.
 ///
-/// [`crate::engine::Multicomputer::run_with_ledgers`] calls
+/// [`crate::engine::Multicomputer::run_tasks_with_ledgers`] calls
 /// [`TraceSink::record`] once per rank, in rank order, after every rank's
-/// closure has joined — sinks never observe a half-finished run and never
+/// task has finished — sinks never observe a half-finished run and never
 /// need internal ordering logic.
 pub trait TraceSink: Send + Sync {
     /// When false, the engine allocates no tracer at all: zero overhead,
@@ -332,9 +332,9 @@ impl Tracer {
     }
 
     /// Emit per-part children of `parent`, splitting its interval in part
-    /// order proportionally to each part's op count. In virtual mode the
-    /// parent's duration *is* the merged op total times `T_Operation`, so
-    /// the split reproduces the sequential execution exactly.
+    /// order proportionally to each part's op count. The parent's duration
+    /// *is* the merged op total times `T_Operation`, so the split
+    /// reproduces the sequential execution exactly.
     fn subdivide(&mut self, parent: &Span, parts: &[(usize, u64)]) {
         let total: u64 = parts.iter().map(|&(_, n)| n).sum();
         if total == 0 {

@@ -7,7 +7,8 @@ use crate::elementwise;
 use sparsedist_core::compress::{Ccs, CompressKind, Crs, LocalCompressed};
 use sparsedist_core::error::SparsedistError;
 use sparsedist_core::partition::Partition;
-use sparsedist_multicomputer::{Multicomputer, PackBuffer, Phase, PhaseLedger};
+use sparsedist_multicomputer::collectives::allreduce_sum;
+use sparsedist_multicomputer::{Env, Multicomputer, PackBuffer, Phase, PhaseLedger, TaskFuture};
 
 /// Scale every processor's local array in place-ish (returns new locals):
 /// `A ← α·A`. Purely local — no communication at all.
@@ -17,7 +18,15 @@ pub fn distributed_scale(
     alpha: f64,
 ) -> Vec<LocalCompressed> {
     assert_eq!(machine.nprocs(), locals.len(), "machine size != locals");
-    machine.run(|env| {
+    machine.run_tasks(&(locals, alpha), |ctx, env| scale_task(ctx, env))
+}
+
+/// One rank of [`distributed_scale`].
+fn scale_task<'e>(
+    &(locals, alpha): &'e (&[LocalCompressed], f64),
+    env: &'e mut Env,
+) -> TaskFuture<'e, LocalCompressed> {
+    Box::pin(async move {
         let me = env.rank();
         env.phase(Phase::Compute, |env| {
             let out = match &locals[me] {
@@ -49,7 +58,15 @@ pub fn distributed_add(
 ) -> Vec<LocalCompressed> {
     assert_eq!(machine.nprocs(), a.len(), "machine size != a");
     assert_eq!(a.len(), b.len(), "operand processor counts differ");
-    machine.run(|env| {
+    machine.run_tasks(&(a, b), |ctx, env| add_task(ctx, env))
+}
+
+/// One rank of [`distributed_add`].
+fn add_task<'e>(
+    &(a, b): &'e (&[LocalCompressed], &[LocalCompressed]),
+    env: &'e mut Env,
+) -> TaskFuture<'e, LocalCompressed> {
+    Box::pin(async move {
         let me = env.rank();
         env.phase(Phase::Compute, |env| {
             let (x, y) = (a[me].as_crs(), b[me].as_crs());
@@ -71,7 +88,17 @@ pub fn distributed_frobenius(
     locals: &[LocalCompressed],
 ) -> Result<f64, SparsedistError> {
     assert_eq!(machine.nprocs(), locals.len(), "machine size != locals");
-    let results = machine.run(|env| -> Result<f64, SparsedistError> {
+    let results = machine.run_tasks(locals, |locals, env| frobenius_task(locals, env));
+    results.into_iter().next().expect("at least one rank")
+}
+
+/// One rank of [`distributed_frobenius`]: the local sum of squares, then
+/// the allreduce.
+fn frobenius_task<'e>(
+    locals: &'e [LocalCompressed],
+    env: &'e mut Env,
+) -> TaskFuture<'e, Result<f64, SparsedistError>> {
+    Box::pin(async move {
         let me = env.rank();
         let partial: f64 = env.phase(Phase::Compute, |env| {
             env.charge_ops(locals[me].nnz() as u64);
@@ -80,12 +107,9 @@ pub fn distributed_frobenius(
                 LocalCompressed::Ccs(a) => a.vl().iter().map(|v| v * v).sum(),
             }
         });
-        let total = env.phase(Phase::Send, |env| {
-            sparsedist_multicomputer::collectives::allreduce_sum(env, &[partial])
-        })?;
+        let total = allreduce_sum(env, &[partial]).await?;
         Ok(total[0].sqrt())
-    });
-    results.into_iter().next().expect("at least one rank")
+    })
 }
 
 /// Distributed transpose: re-own `Aᵀ` under the target partition without
@@ -121,99 +145,128 @@ pub fn distributed_transpose(
     );
     assert_eq!(locals.len(), p, "one local array per processor");
 
+    let ctx = TransposeCtx {
+        locals,
+        from,
+        to,
+        kind,
+    };
     let (results, ledgers) =
-        machine.run_with_ledgers(|env| -> Result<LocalCompressed, SparsedistError> {
-            let me = env.rank();
-            // Bucket transposed triplets by new owner.
-            let buckets: Vec<Vec<(usize, usize, f64)>> = env.phase(Phase::Pack, |env| {
-                let mut buckets: Vec<Vec<(usize, usize, f64)>> = vec![Vec::new(); p];
-                let mut ops = 0u64;
-                let mut push = |lr: usize, lc: usize, v: f64, ops: &mut u64| {
-                    let (gr, gc) = from.to_global(me, lr, lc);
-                    let dest = to.owner_of(gc, gr); // transposed coordinates
-                    *ops += 2;
-                    buckets[dest].push((gc, gr, v));
-                };
-                match &locals[me] {
-                    LocalCompressed::Crs(a) => {
-                        for (lr, lc, v) in a.iter() {
-                            push(lr, lc, v, &mut ops);
-                        }
-                    }
-                    LocalCompressed::Ccs(a) => {
-                        for (lr, lc, v) in a.iter() {
-                            push(lr, lc, v, &mut ops);
-                        }
-                    }
-                }
-                env.charge_ops(ops);
-                buckets
-            });
-
-            // All-to-all.
-            let bufs: Vec<PackBuffer> = env.phase(Phase::Pack, |env| {
-                let mut ops = 0u64;
-                let bufs = buckets
-                    .iter()
-                    .map(|b| {
-                        let mut buf = PackBuffer::with_capacity(1 + b.len() * 3);
-                        buf.push_u64(b.len() as u64);
-                        for &(r, c, v) in b {
-                            buf.push_u64(r as u64);
-                            buf.push_u64(c as u64);
-                            buf.push_f64(v);
-                            ops += 3;
-                        }
-                        buf
-                    })
-                    .collect();
-                env.charge_ops(ops);
-                bufs
-            });
-            env.phase(Phase::Send, |env| -> Result<(), SparsedistError> {
-                for (dst, buf) in bufs.into_iter().enumerate() {
-                    env.send(dst, buf)?;
-                }
-                Ok(())
-            })?;
-
-            let mut trips: Vec<(usize, usize, f64)> = Vec::new();
-            env.phase(Phase::Unpack, |env| -> Result<(), SparsedistError> {
-                let mut ops = 0u64;
-                for src in 0..p {
-                    let msg = env.recv(src)?;
-                    let mut cursor = msg.payload.cursor();
-                    let n = cursor.try_read_usize()?;
-                    for _ in 0..n {
-                        let r = cursor.try_read_usize()?;
-                        let c = cursor.try_read_usize()?;
-                        let v = cursor.try_read_f64()?;
-                        ops += 3;
-                        let (_, lr, lc) = to.to_local(r, c);
-                        trips.push((lr, lc, v));
-                    }
-                }
-                env.charge_ops(ops);
-                Ok(())
-            })?;
-
-            Ok(env.phase(Phase::Compress, |env| {
-                let mut ops = sparsedist_core::opcount::OpCounter::new();
-                let (lrows, lcols) = to.local_shape(me);
-                let out = match kind {
-                    CompressKind::Crs => {
-                        LocalCompressed::Crs(Crs::from_triplets(lrows, lcols, &trips, &mut ops))
-                    }
-                    CompressKind::Ccs => {
-                        LocalCompressed::Ccs(Ccs::from_triplets(lrows, lcols, &trips, &mut ops))
-                    }
-                };
-                env.charge_ops(ops.take());
-                out
-            }))
-        });
+        machine.run_tasks_with_ledgers(&ctx, |ctx, env| transpose_task(ctx, env));
     let locals = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     Ok((locals, ledgers))
+}
+
+/// What every rank of [`distributed_transpose`] reads.
+struct TransposeCtx<'a> {
+    locals: &'a [LocalCompressed],
+    from: &'a dyn Partition,
+    to: &'a dyn Partition,
+    kind: CompressKind,
+}
+
+/// One rank of [`distributed_transpose`]: bucket the transposed local
+/// triplets by new owner, exchange them all-to-all, and rebuild the new
+/// local array.
+fn transpose_task<'e>(
+    ctx: &'e TransposeCtx<'_>,
+    env: &'e mut Env,
+) -> TaskFuture<'e, Result<LocalCompressed, SparsedistError>> {
+    Box::pin(async move {
+        let TransposeCtx {
+            locals,
+            from,
+            to,
+            kind,
+        } = *ctx;
+        let me = env.rank();
+        let p = env.nprocs();
+        // Bucket transposed triplets by new owner.
+        let buckets: Vec<Vec<(usize, usize, f64)>> = env.phase(Phase::Pack, |env| {
+            let mut buckets: Vec<Vec<(usize, usize, f64)>> = vec![Vec::new(); p];
+            let mut ops = 0u64;
+            let mut push = |lr: usize, lc: usize, v: f64, ops: &mut u64| {
+                let (gr, gc) = from.to_global(me, lr, lc);
+                let dest = to.owner_of(gc, gr); // transposed coordinates
+                *ops += 2;
+                buckets[dest].push((gc, gr, v));
+            };
+            match &locals[me] {
+                LocalCompressed::Crs(a) => {
+                    for (lr, lc, v) in a.iter() {
+                        push(lr, lc, v, &mut ops);
+                    }
+                }
+                LocalCompressed::Ccs(a) => {
+                    for (lr, lc, v) in a.iter() {
+                        push(lr, lc, v, &mut ops);
+                    }
+                }
+            }
+            env.charge_ops(ops);
+            buckets
+        });
+
+        // All-to-all; the buckets are consumed before the first receive.
+        let bufs: Vec<PackBuffer> = env.phase(Phase::Pack, |env| {
+            let mut ops = 0u64;
+            let bufs = buckets
+                .into_iter()
+                .map(|b| {
+                    let mut buf = PackBuffer::with_capacity(1 + b.len() * 3);
+                    buf.push_u64(b.len() as u64);
+                    for &(r, c, v) in &b {
+                        buf.push_u64(r as u64);
+                        buf.push_u64(c as u64);
+                        buf.push_f64(v);
+                        ops += 3;
+                    }
+                    buf
+                })
+                .collect();
+            env.charge_ops(ops);
+            bufs
+        });
+        env.phase(Phase::Send, |env| -> Result<(), SparsedistError> {
+            for (dst, buf) in bufs.into_iter().enumerate() {
+                env.send(dst, buf)?;
+            }
+            Ok(())
+        })?;
+
+        // The unpack work is charged once the last bucket has arrived.
+        let mut trips: Vec<(usize, usize, f64)> = Vec::new();
+        let mut ops = 0u64;
+        for src in 0..p {
+            let msg = env.recv_async(src).await?;
+            let mut cursor = msg.payload.cursor();
+            let n = cursor.try_read_usize()?;
+            for _ in 0..n {
+                let r = cursor.try_read_usize()?;
+                let c = cursor.try_read_usize()?;
+                let v = cursor.try_read_f64()?;
+                ops += 3;
+                let (_, lr, lc) = to.to_local(r, c);
+                trips.push((lr, lc, v));
+            }
+        }
+        env.phase(Phase::Unpack, |env| env.charge_ops(ops));
+
+        Ok(env.phase(Phase::Compress, |env| {
+            let mut ops = sparsedist_core::opcount::OpCounter::new();
+            let (lrows, lcols) = to.local_shape(me);
+            let out = match kind {
+                CompressKind::Crs => {
+                    LocalCompressed::Crs(Crs::from_triplets(lrows, lcols, &trips, &mut ops))
+                }
+                CompressKind::Ccs => {
+                    LocalCompressed::Ccs(Ccs::from_triplets(lrows, lcols, &trips, &mut ops))
+                }
+            };
+            env.charge_ops(ops.take());
+            out
+        }))
+    })
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@ use sparsedist_core::dense::Dense2D;
 use sparsedist_core::error::SparsedistError;
 use sparsedist_core::partition::Partition;
 use sparsedist_core::schemes::SchemeRun;
-use sparsedist_multicomputer::{Multicomputer, PackBuffer, Phase, PhaseLedger};
+use sparsedist_multicomputer::{Env, Multicomputer, PackBuffer, Phase, PhaseLedger, TaskFuture};
 
 /// `y = A·x` for a CRS array.
 ///
@@ -107,7 +107,7 @@ pub fn distributed_spmv_ledgers(
     part: &dyn Partition,
     x: &[f64],
 ) -> Result<(Vec<f64>, Vec<PhaseLedger>), SparsedistError> {
-    let (grows, gcols) = part.global_shape();
+    let (_, gcols) = part.global_shape();
     assert_eq!(
         x.len(),
         gcols,
@@ -120,8 +120,31 @@ pub fn distributed_spmv_ledgers(
         "machine size != run size"
     );
 
-    let (results, ledgers) = machine.run_with_ledgers(|env| -> Result<Vec<f64>, SparsedistError> {
+    let ctx = SpmvCtx { run, part, x };
+    let (results, ledgers) = machine.run_tasks_with_ledgers(&ctx, |ctx, env| spmv_task(ctx, env));
+    let mut ys = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+    Ok((ys.swap_remove(0), ledgers))
+}
+
+/// What every rank of a distributed SpMV reads: the distributed array,
+/// its partition and the input vector.
+struct SpmvCtx<'a> {
+    run: &'a SchemeRun,
+    part: &'a dyn Partition,
+    x: &'a [f64],
+}
+
+/// One rank of [`distributed_spmv_ledgers`]: multiply the local nonzeros
+/// into a full-length partial `y`, reduce the partials at rank 0, and
+/// receive the reduced `y` back.
+fn spmv_task<'e>(
+    ctx: &'e SpmvCtx<'_>,
+    env: &'e mut Env,
+) -> TaskFuture<'e, Result<Vec<f64>, SparsedistError>> {
+    Box::pin(async move {
+        let SpmvCtx { run, part, x } = *ctx;
         let me = env.rank();
+        let (grows, _) = part.global_shape();
         // Local partial: iterate the local compressed array, map to global.
         let partial: Vec<f64> = env.phase(Phase::Compute, |env| {
             let mut y = vec![0.0; grows];
@@ -149,38 +172,32 @@ pub fn distributed_spmv_ledgers(
         // Reduce at rank 0.
         let mut buf = PackBuffer::with_capacity(grows);
         buf.push_f64_slice(&partial);
+        drop(partial);
         env.phase(Phase::Send, |env| env.send(0, buf))?;
-        let reduced = if me == 0 {
+        if me == 0 {
             let mut y = vec![0.0; grows];
             for src in 0..env.nprocs() {
-                let msg = env.recv(src)?;
+                let msg = env.recv_async(src).await?;
                 let mut cursor = msg.payload.cursor();
                 for slot in y.iter_mut() {
                     *slot += cursor.try_read_f64()?;
                 }
             }
             env.charge_ops((grows * env.nprocs()) as u64);
-            y
-        } else {
-            Vec::new()
-        };
 
-        // Broadcast the result back.
-        if me == 0 {
+            // Broadcast the result back.
             env.phase(Phase::Send, |env| -> Result<(), SparsedistError> {
                 for dst in 0..env.nprocs() {
                     let mut b = PackBuffer::with_capacity(grows);
-                    b.push_f64_slice(&reduced);
+                    b.push_f64_slice(&y);
                     env.send(dst, b)?;
                 }
                 Ok(())
             })?;
         }
-        let msg = env.recv(0)?;
+        let msg = env.recv_async(0).await?;
         Ok(msg.payload.cursor().try_read_f64_vec(grows)?)
-    });
-    let mut ys = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-    Ok((ys.swap_remove(0), ledgers))
+    })
 }
 
 /// Row-conformal distributed `y = A·x` for row-family partitions on square
@@ -242,7 +259,23 @@ pub fn distributed_spmv_rowwise_ledgers(
         "machine size != run size"
     );
 
-    let (results, ledgers) = machine.run_with_ledgers(|env| -> Result<Vec<f64>, SparsedistError> {
+    let ctx = SpmvCtx { run, part, x };
+    let (results, ledgers) =
+        machine.run_tasks_with_ledgers(&ctx, |ctx, env| spmv_rowwise_task(ctx, env));
+    let mut ys = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+    Ok((ys.swap_remove(0), ledgers))
+}
+
+/// One rank of [`distributed_spmv_rowwise_ledgers`]: allgather the
+/// row-conformal slices of `x`, compute this rank's rows of `y`, and
+/// place them at rank 0 (which returns the assembled `y`).
+fn spmv_rowwise_task<'e>(
+    ctx: &'e SpmvCtx<'_>,
+    env: &'e mut Env,
+) -> TaskFuture<'e, Result<Vec<f64>, SparsedistError>> {
+    Box::pin(async move {
+        let SpmvCtx { run, part, x } = *ctx;
+        let (grows, gcols) = part.global_shape();
         let me = env.rank();
         let p = env.nprocs();
         let (lrows, _) = part.local_shape(me);
@@ -256,7 +289,8 @@ pub fn distributed_spmv_rowwise_ledgers(
             slice
         });
 
-        // Allgather the slices.
+        // Allgather the slices; the unpack work is charged once the last
+        // slice has arrived.
         let mut buf = PackBuffer::with_capacity(my_slice.len());
         buf.push_f64_slice(&my_slice);
         env.phase(Phase::Send, |env| -> Result<(), SparsedistError> {
@@ -266,21 +300,18 @@ pub fn distributed_spmv_rowwise_ledgers(
             Ok(())
         })?;
         let mut x_full = vec![0.0; gcols];
-        env.phase(Phase::Unpack, |env| -> Result<(), SparsedistError> {
-            let mut ops = 0u64;
-            for src in 0..p {
-                let msg = env.recv(src)?;
-                let mut cursor = msg.payload.cursor();
-                let (src_rows, _) = part.local_shape(src);
-                for lr in 0..src_rows {
-                    let (gr, _) = part.to_global(src, lr, 0);
-                    x_full[gr] = cursor.try_read_f64()?;
-                    ops += 1;
-                }
+        let mut ops = 0u64;
+        for src in 0..p {
+            let msg = env.recv_async(src).await?;
+            let mut cursor = msg.payload.cursor();
+            let (src_rows, _) = part.local_shape(src);
+            for lr in 0..src_rows {
+                let (gr, _) = part.to_global(src, lr, 0);
+                x_full[gr] = cursor.try_read_f64()?;
+                ops += 1;
             }
-            env.charge_ops(ops);
-            Ok(())
-        })?;
+        }
+        env.phase(Phase::Unpack, |env| env.charge_ops(ops));
 
         // Compute exactly my rows of y.
         let y_mine: Vec<f64> = env.phase(Phase::Compute, |env| {
@@ -310,25 +341,22 @@ pub fn distributed_spmv_rowwise_ledgers(
         let mut out = PackBuffer::with_capacity(y_mine.len());
         out.push_f64_slice(&y_mine);
         env.phase(Phase::Send, |env| env.send(0, out))?;
-        if me == 0 {
-            let mut y = vec![0.0; grows];
-            for src in 0..p {
-                let msg = env.recv(src)?;
-                let mut cursor = msg.payload.cursor();
-                let (src_rows, _) = part.local_shape(src);
-                for lr in 0..src_rows {
-                    let (gr, _) = part.to_global(src, lr, 0);
-                    y[gr] = cursor.try_read_f64()?;
-                }
-            }
-            env.charge_ops(grows as u64);
-            Ok(y)
-        } else {
-            Ok(Vec::new())
+        if me != 0 {
+            return Ok(Vec::new());
         }
-    });
-    let mut ys = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-    Ok((ys.swap_remove(0), ledgers))
+        let mut y = vec![0.0; grows];
+        for src in 0..p {
+            let msg = env.recv_async(src).await?;
+            let mut cursor = msg.payload.cursor();
+            let (src_rows, _) = part.local_shape(src);
+            for lr in 0..src_rows {
+                let (gr, _) = part.to_global(src, lr, 0);
+                y[gr] = cursor.try_read_f64()?;
+            }
+        }
+        env.charge_ops(grows as u64);
+        Ok(y)
+    })
 }
 
 #[cfg(test)]

@@ -89,54 +89,6 @@ fn distributed_spmv_matches_dense_on_fem_matrix() {
 }
 
 #[test]
-fn wall_clock_and_virtual_agree_on_state() {
-    let a = SparseRandom::new(40, 40)
-        .sparse_ratio(0.1)
-        .seed(9)
-        .generate();
-    let part = RowBlock::new(40, 40, 4);
-    let virt = Multicomputer::virtual_machine(4, MachineModel::ibm_sp2());
-    let wall = Multicomputer::wall_clock(4);
-    for scheme in SchemeKind::ALL {
-        let rv = run_scheme(scheme, &virt, &a, &part, CompressKind::Crs).unwrap();
-        let rw = run_scheme(scheme, &wall, &a, &part, CompressKind::Crs).unwrap();
-        assert_eq!(
-            rv.locals, rw.locals,
-            "{scheme}: timing mode must not change results"
-        );
-    }
-}
-
-#[test]
-fn wall_clock_with_injected_wire_cost_runs() {
-    use sparsedist::multicomputer::TimingMode;
-    let a = SparseRandom::new(64, 64)
-        .sparse_ratio(0.1)
-        .seed(5)
-        .generate();
-    let part = RowBlock::new(64, 64, 4);
-    let machine = Multicomputer::with_mode(
-        4,
-        TimingMode::WallClock {
-            wire_ns_per_elem: 50,
-            wire_ns_startup: 1_000,
-        },
-    );
-    let sfc = run_scheme(SchemeKind::Sfc, &machine, &a, &part, CompressKind::Crs).unwrap();
-    let ed = run_scheme(SchemeKind::Ed, &machine, &a, &part, CompressKind::Crs).unwrap();
-    assert_eq!(sfc.reassemble(&part), a);
-    assert_eq!(ed.reassemble(&part), a);
-    // With a real injected wire cost, SFC's send (4096 dense elements)
-    // must measurably exceed ED's (~960).
-    assert!(
-        sfc.ledgers[0].get(Phase::Send) > ed.ledgers[0].get(Phase::Send),
-        "SFC send {} !> ED send {}",
-        sfc.ledgers[0].get(Phase::Send),
-        ed.ledgers[0].get(Phase::Send)
-    );
-}
-
-#[test]
 fn larger_processor_counts() {
     let a = SparseRandom::new(96, 96)
         .sparse_ratio(0.1)
