@@ -1403,6 +1403,60 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Checkpoint a 48×48 array over 4 row blocks into a fresh directory
+    /// named after `name`, and return that directory.
+    fn checkpoint_48(name: &str) -> String {
+        let mtx = tmp(&format!("{name}.mtx"));
+        let dir = tmp(&format!("{name}_dir"));
+        let _ = std::fs::remove_dir_all(&dir);
+        crate::run(&argv(&format!("gen {mtx} --rows 48 --ratio 0.1 --seed 5"))).unwrap();
+        crate::run(&argv(&format!("checkpoint {mtx} {dir} --procs 4"))).unwrap();
+        dir
+    }
+
+    /// Restore `dir` with `flags`; it must fail with the typed mismatch
+    /// error whose message contains `why`.
+    fn assert_restore_mismatch(dir: &str, flags: &str, why: &str) {
+        let out = tmp("mismatch_out.mtx");
+        let err = crate::run(&argv(&format!("restore {dir} {out} {flags}"))).unwrap_err();
+        assert!(err.contains("checkpoint does not fit"), "{flags}: {err}");
+        assert!(err.contains(why), "{flags}: {err}");
+    }
+
+    #[test]
+    fn restore_refuses_another_processor_count() {
+        let dir = checkpoint_48("mismatch_procs");
+        for procs in [2, 8] {
+            let flags = format!("--procs {procs} --rows 48");
+            let why = format!("4 local arrays for {procs} parts");
+            assert_restore_mismatch(&dir, &flags, &why);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn restore_refuses_another_array_shape() {
+        let dir = checkpoint_48("mismatch_shape");
+        assert_restore_mismatch(
+            &dir,
+            "--procs 4 --rows 16",
+            "local 0 is 12x48, its part is 4x16",
+        );
+        assert_restore_mismatch(&dir, "--procs 4 --rows 100", "its part is 25x100");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn restore_refuses_another_partition() {
+        let dir = checkpoint_48("mismatch_partition");
+        assert_restore_mismatch(
+            &dir,
+            "--procs 4 --rows 48 --partition column",
+            "local 0 is 12x48, its part is 48x12",
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn pipeline_round_trips() {
         let mtx = tmp("pipe.mtx");

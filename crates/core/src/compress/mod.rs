@@ -10,26 +10,15 @@
 //! form for the figure-reproduction tests.
 //!
 //! A [`Coo`] triplet format rounds out the set (used by the workload
-//! generators and MatrixMarket I/O in `sparsedist-gen`), and three more
-//! *Templates* formats — [`Dia`] (diagonal strips), [`Jds`] (jagged
-//! diagonals) and [`Bsr`] (block sparse row) — are provided as local
-//! conversion targets: the paper's schemes put CRS/CCS on the wire, and a
-//! receiving processor may then re-compress into whichever format its
-//! computation prefers (the `compression_formats` bench compares them).
+//! generators and MatrixMarket I/O in `sparsedist-gen`).
 
-mod bsr;
 mod ccs;
 mod coo;
 mod crs;
-mod dia;
-mod jds;
 
-pub use bsr::Bsr;
 pub use ccs::Ccs;
 pub use coo::Coo;
 pub use crs::Crs;
-pub use dia::Dia;
-pub use jds::Jds;
 
 use crate::dense::Dense2D;
 use crate::opcount::OpCounter;
@@ -180,17 +169,6 @@ pub enum CompressError {
         /// The offending row (CRS) or column (CCS).
         segment: usize,
     },
-    /// A BSR tile shape that is zero or does not divide the array shape.
-    TileShape {
-        /// Array rows.
-        rows: usize,
-        /// Array columns.
-        cols: usize,
-        /// Tile rows requested.
-        br: usize,
-        /// Tile columns requested.
-        bc: usize,
-    },
     /// A buffer expected to carry a versioned wire header starts with
     /// something else (wrong magic, unknown flags, or too short to hold
     /// one).
@@ -241,12 +219,6 @@ impl fmt::Display for CompressError {
                     "indices in segment {segment} are not strictly increasing"
                 )
             }
-            CompressError::TileShape { rows, cols, br, bc } => {
-                write!(
-                    f,
-                    "tile shape {br}x{bc} does not divide array shape {rows}x{cols}"
-                )
-            }
             CompressError::WireHeader { found } => {
                 write!(
                     f,
@@ -270,9 +242,12 @@ pub(crate) fn validate_layout(
     nsegments: usize,
     index_bound: usize,
 ) -> Result<(), CompressError> {
-    if pointer.len() != nsegments + 1 {
+    // A segment count of usize::MAX (an untrusted header can claim one)
+    // admits no pointer array at all.
+    let expected = nsegments.checked_add(1);
+    if expected != Some(pointer.len()) {
         return Err(CompressError::PointerLength {
-            expected: nsegments + 1,
+            expected: expected.unwrap_or(usize::MAX),
             actual: pointer.len(),
         });
     }
@@ -337,6 +312,13 @@ mod tests {
             Err(CompressError::PointerLength {
                 expected: 3,
                 actual: 2
+            })
+        );
+        assert_eq!(
+            validate_layout(&[], &[], &[], usize::MAX, 4),
+            Err(CompressError::PointerLength {
+                expected: usize::MAX,
+                actual: 0
             })
         );
         assert_eq!(

@@ -48,6 +48,9 @@ pub enum CkptError {
         /// The structural violation.
         source: CompressError,
     },
+    /// The local arrays do not fit the machine and partition they are
+    /// resumed on (part count, compression kind or local shape).
+    Mismatch(String),
 }
 
 impl fmt::Display for CkptError {
@@ -59,6 +62,7 @@ impl fmt::Display for CkptError {
             CkptError::Invalid { rank, source } => {
                 write!(f, "rank {rank} array invalid: {source}")
             }
+            CkptError::Mismatch(why) => write!(f, "checkpoint does not fit: {why}"),
         }
     }
 }
@@ -225,7 +229,12 @@ pub fn load(dir: impl AsRef<Path>) -> Result<Vec<LocalCompressed>, CkptError> {
         .and_then(|l| l.strip_prefix("ranks "))
         .and_then(|n| n.parse().ok())
         .ok_or_else(|| CkptError::BadManifest("missing 'ranks <p>' line".into()))?;
-    let mut out = Vec::with_capacity(ranks);
+    if ranks == 0 {
+        return Err(CkptError::BadManifest("ranks 0: no rank files".into()));
+    }
+    // The manifest is untrusted: grow the result as rank files are read
+    // instead of reserving `ranks` slots up front.
+    let mut out = Vec::new();
     for rank in 0..ranks {
         let bytes = fs::read(dir.join(format!("rank_{rank}.sdc")))?;
         out.push(decode(rank, &bytes)?);

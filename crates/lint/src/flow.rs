@@ -4,9 +4,9 @@
 //! small event language — calls, `?` exits, `return`s, branches, loops —
 //! and two all-paths analyses answer the questions the C rules ask:
 //!
-//! * [`pending_at_exit`]: which *trigger* calls (`isend`/`irecv` posts)
-//!   can reach a function exit without a *resolver* (`wait_all`/
-//!   `wait_recv`) on that path;
+//! * [`pending_at_exit`]: which *trigger* calls (`isend` posts) can
+//!   reach a function exit without a *resolver* (`wait_all`) on that
+//!   path;
 //! * [`unguarded`]: which *trigger* calls (`send_part` in routed code)
 //!   are reachable without a *guard* (`push_u64` part-id header) having
 //!   run first on every path.

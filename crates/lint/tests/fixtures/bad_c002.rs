@@ -12,8 +12,3 @@ fn branch_leak(env: &mut Env, dst: usize, buf: PackBuffer) -> Result<(), CommErr
     }
     Ok(())
 }
-
-fn irecv_leak(env: &mut Env, src: usize) {
-    let handle = env.irecv(src);
-    drop(handle);
-}

@@ -8,11 +8,6 @@ fn fanout(env: &mut Env, bufs: Vec<PackBuffer>) -> Result<(), CommError> {
     Ok(())
 }
 
-fn posted_receive(env: &mut Env, src: usize) -> Result<Message, CommError> {
-    let handle = env.irecv(src);
-    env.wait_recv(handle)
-}
-
 fn branchy(env: &mut Env, dst: usize, buf: PackBuffer) -> Result<(), CommError> {
     env.isend(dst, buf)?;
     if fast_path() {

@@ -80,36 +80,41 @@ impl<'m> DistributedSparseArray<'m> {
 
     /// Adopt already-distributed local arrays (e.g. from a checkpoint).
     ///
-    /// # Panics
-    /// Panics if the shapes of `locals` disagree with the partition.
+    /// # Errors
+    /// [`checkpoint::CkptError::Mismatch`] if the machine, the partition
+    /// and `locals` disagree on the part count, or a local array's kind or
+    /// shape is not the one the partition gives its part.
     pub fn from_locals(
         machine: &'m Multicomputer,
         partition: Box<dyn Partition>,
         kind: CompressKind,
         locals: Vec<LocalCompressed>,
-    ) -> Self {
-        assert_eq!(
-            machine.nprocs(),
-            partition.nparts(),
-            "machine/partition size mismatch"
-        );
-        assert_eq!(locals.len(), partition.nparts(), "one local array per part");
-        for (pid, l) in locals.iter().enumerate() {
-            assert_eq!(l.kind(), kind, "local {pid} kind mismatch");
-            assert_eq!(
-                l.shape(),
-                partition.local_shape(pid),
-                "local {pid} shape mismatch"
-            );
+    ) -> Result<Self, checkpoint::CkptError> {
+        let mismatch = |why: String| Err(checkpoint::CkptError::Mismatch(why));
+        let p = partition.nparts();
+        if machine.nprocs() != p || locals.len() != p {
+            return mismatch(format!(
+                "{} local arrays for {p} parts on {} processors",
+                locals.len(),
+                machine.nprocs()
+            ));
         }
-        let p = locals.len();
-        DistributedSparseArray {
+        for (pid, l) in locals.iter().enumerate() {
+            if l.kind() != kind {
+                return mismatch(format!("local {pid} is {}, expected {kind}", l.kind()));
+            }
+            let ((r, c), (wr, wc)) = (l.shape(), partition.local_shape(pid));
+            if (r, c) != (wr, wc) {
+                return mismatch(format!("local {pid} is {r}x{c}, its part is {wr}x{wc}"));
+            }
+        }
+        Ok(DistributedSparseArray {
             machine,
             partition,
             kind,
             locals,
             last_ledgers: vec![PhaseLedger::new(); p],
-        }
+        })
     }
 
     /// The partition currently in force.
@@ -297,7 +302,7 @@ impl<'m> DistributedSparseArray<'m> {
         dir: impl AsRef<Path>,
     ) -> Result<Self, checkpoint::CkptError> {
         let locals = checkpoint::load(dir)?;
-        Ok(Self::from_locals(machine, partition, kind, locals))
+        Self::from_locals(machine, partition, kind, locals)
     }
 }
 
@@ -399,16 +404,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "shape mismatch")]
     fn from_locals_validates_shapes() {
         let m = machine();
         let a = dist(&m);
         // Wrong partition: column split instead of rows.
-        let _ = DistributedSparseArray::from_locals(
+        let err = DistributedSparseArray::from_locals(
             &m,
             Box::new(ColBlock::new(10, 8, 4)),
             CompressKind::Crs,
             a.locals().to_vec(),
-        );
+        )
+        .err()
+        .expect("a column split does not fit row-block locals");
+        assert!(matches!(err, checkpoint::CkptError::Mismatch(_)), "{err}");
+        assert!(err.to_string().contains("local 0 is 3x8"), "{err}");
     }
 }
