@@ -5,20 +5,19 @@
 //!
 //! Besides the Criterion host timings, this bench writes the
 //! `makespan_vs_drop` section of `BENCH_faults.json` at the workspace
-//! root. All `*_us` values are virtual-time measurements — a pure
+//! root (under `--test`, its copy in `target/bench-smoke/`). All `*_us` values are virtual-time measurements — a pure
 //! function of the machine model, the workload and the fault seed — so
 //! the CI bench-regression gate pins them exactly: a protocol change
 //! that makes recovery more expensive (or breaks the overlap win under
 //! faults) moves a tracked number and trips the gate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sparsedist_bench::{upsert_bench_sections, workload};
+use sparsedist_bench::{bench_json, upsert_bench_sections, workload};
 use sparsedist_core::compress::CompressKind;
 use sparsedist_core::partition::RowBlock;
 use sparsedist_core::schemes::{run_scheme_with, SchemeConfig, SchemeKind, SchemeRun};
 use sparsedist_multicomputer::{FaultPlan, MachineModel, Multicomputer, Phase, RetryPolicy};
 use std::hint::black_box;
-use std::path::Path;
 use std::time::Duration;
 
 const N: usize = 1000;
@@ -103,11 +102,8 @@ fn emit_json(c: &mut Criterion) {
     }
     lines.push("  }".to_string());
 
-    let path = Path::new(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_faults.json"
-    ));
-    upsert_bench_sections(path, &[("makespan_vs_drop", lines.join("\n"))])
+    let path = bench_json("BENCH_faults.json").expect("locate BENCH_faults.json");
+    upsert_bench_sections(&path, &[("makespan_vs_drop", lines.join("\n"))])
         .expect("write BENCH_faults.json");
     eprintln!("wrote {}", path.display());
 

@@ -5,9 +5,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sparsedist_bench::workload;
 use sparsedist_core::compress::{Ccs, CompressKind, Crs};
-use sparsedist_core::encode::{decode_part, encode_part};
+use sparsedist_core::dense::Dense2D;
+use sparsedist_core::encode::{decode_part_wire, encode_part_into};
 use sparsedist_core::opcount::OpCounter;
 use sparsedist_core::partition::RowBlock;
+use sparsedist_core::wire::{WireFormat, WirePolicy};
+use sparsedist_multicomputer::PackBuffer;
 use sparsedist_ops::spmv::{crs_spmv, dense_spmv};
 use std::hint::black_box;
 use std::time::Duration;
@@ -31,22 +34,30 @@ fn bench_kernels(c: &mut Criterion) {
         });
 
         let part = RowBlock::new(n, n, 4);
+        let v1 = WirePolicy::of(WireFormat::V1);
+        let encode = |a: &Dense2D| {
+            let mut buf = PackBuffer::new();
+            encode_part_into(
+                &mut buf,
+                a,
+                &part,
+                0,
+                CompressKind::Crs,
+                &v1,
+                &mut OpCounter::new(),
+            );
+            buf
+        };
         g.bench_with_input(BenchmarkId::new("ed_encode_part", n), &a, |b, a| {
-            b.iter(|| {
-                black_box(encode_part(
-                    a,
-                    &part,
-                    0,
-                    CompressKind::Crs,
-                    &mut OpCounter::new(),
-                ))
-            })
+            b.iter(|| black_box(encode(a)))
         });
-        let buf = encode_part(&a, &part, 0, CompressKind::Crs, &mut OpCounter::new());
+        let buf = encode(&a);
         g.bench_with_input(BenchmarkId::new("ed_decode_part", n), &buf, |b, buf| {
             b.iter(|| {
+                let mut ops = OpCounter::new();
                 black_box(
-                    decode_part(buf, &part, 0, CompressKind::Crs, &mut OpCounter::new()).unwrap(),
+                    decode_part_wire(buf, &part, 0, CompressKind::Crs, WireFormat::V1, &mut ops)
+                        .unwrap(),
                 )
             })
         });

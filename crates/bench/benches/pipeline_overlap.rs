@@ -5,19 +5,18 @@
 //!
 //! Besides the Criterion host timings, this bench upserts a
 //! `pipeline_overlap` section into `BENCH_wire.json` at the workspace
-//! root. The `*_us` keys are virtual-time makespans — deterministic for
+//! root (under `--test`, its copy in `target/bench-smoke/`). The `*_us` keys are virtual-time makespans — deterministic for
 //! a given machine model and workload — so the CI bench-regression gate
 //! can pin them without run-to-run noise; the `*_bytes` keys prove the
 //! overlap changes scheduling, never the wire volume.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sparsedist_bench::{upsert_bench_sections, workload};
+use sparsedist_bench::{bench_json, upsert_bench_sections, workload};
 use sparsedist_core::compress::CompressKind;
 use sparsedist_core::partition::RowBlock;
 use sparsedist_core::schemes::{run_scheme, run_scheme_with, SchemeConfig, SchemeKind, SchemeRun};
 use sparsedist_multicomputer::{MachineModel, Multicomputer};
 use std::hint::black_box;
-use std::path::Path;
 use std::time::Duration;
 
 const N: usize = 1000;
@@ -68,11 +67,8 @@ fn emit_json(c: &mut Criterion) {
     }
     lines.push("  }".to_string());
 
-    let path = Path::new(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_wire.json"
-    ));
-    upsert_bench_sections(path, &[("pipeline_overlap", lines.join("\n"))])
+    let path = bench_json("BENCH_wire.json").expect("locate BENCH_wire.json");
+    upsert_bench_sections(&path, &[("pipeline_overlap", lines.join("\n"))])
         .expect("write BENCH_wire.json");
     eprintln!("wrote {}", path.display());
 

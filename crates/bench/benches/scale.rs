@@ -16,18 +16,18 @@
 //!   regression gate (CI runners are too noisy to pin host time) while
 //!   still publishing the scaling curve the sweep exists to show.
 //!
-//! Under `--test` (the CI smoke), only the p = 4096 point runs; the
-//! committed baseline carries the full sweep, and the gate ignores the
-//! points a partial regeneration drops.
+//! Under `--test` (the CI smoke), only the p = 4096 point runs, written
+//! to `target/bench-smoke/BENCH_scale.json`; the committed baseline
+//! carries the full sweep, and the gate ignores the points a partial
+//! regeneration drops.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sparsedist_bench::{upsert_bench_sections, workload};
+use sparsedist_bench::{bench_json, smoke_mode, upsert_bench_sections, workload};
 use sparsedist_core::compress::CompressKind;
 use sparsedist_core::partition::RowBlock;
 use sparsedist_core::schemes::{run_scheme_with, SchemeConfig, SchemeKind};
 use sparsedist_multicomputer::{EngineKind, MachineModel, Multicomputer};
 use std::hint::black_box;
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 const N: usize = 4096;
@@ -37,11 +37,6 @@ const SCHEMES: [(SchemeKind, &str); 3] = [
     (SchemeKind::Cfs, "cfs"),
     (SchemeKind::Ed, "ed"),
 ];
-
-/// Criterion's `--test` mode is the CI smoke: one pass, smallest point.
-fn test_mode() -> bool {
-    std::env::args().any(|a| a == "--test")
-}
 
 fn machine(p: usize) -> Multicomputer {
     Multicomputer::virtual_machine(p, MachineModel::ibm_sp2()).with_engine(EngineKind::EventLoop)
@@ -65,7 +60,7 @@ fn peak_rss_mb() -> f64 {
 
 fn emit_json(c: &mut Criterion) {
     let a = workload(N);
-    let sweep: &[usize] = if test_mode() { &SWEEP[..1] } else { &SWEEP };
+    let sweep: &[usize] = if smoke_mode() { &SWEEP[..1] } else { &SWEEP };
 
     let mut lines = vec!["{".to_string()];
     lines.push(format!("    \"n\": {N}, \"engine\": \"event\","));
@@ -104,11 +99,8 @@ fn emit_json(c: &mut Criterion) {
     }
     lines.push("  }".to_string());
 
-    let path = Path::new(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_scale.json"
-    ));
-    upsert_bench_sections(path, &[("scale", lines.join("\n"))]).expect("write BENCH_scale.json");
+    let path = bench_json("BENCH_scale.json").expect("locate BENCH_scale.json");
+    upsert_bench_sections(&path, &[("scale", lines.join("\n"))]).expect("write BENCH_scale.json");
     eprintln!("wrote {}", path.display());
 
     let _ = c;

@@ -2,14 +2,15 @@
 //! hot path, and sequential vs parallel per-part encode at the source.
 //!
 //! Besides the Criterion timings (`pack_roundtrip`, `encode_parallel`),
-//! this bench writes `BENCH_wire.json` at the workspace root: packed-byte
+//! this bench writes `BENCH_wire.json` at the workspace root (under
+//! `--test`, its copy in `target/bench-smoke/`): packed-byte
 //! totals per scheme/format at three sparsities, the v2-vs-v3 virtual
 //! makespans (v3 charges zero extra ops, so these must stay equal), and
 //! the measured host-time encode speedup, so CI can archive the wire
 //! saving as an artifact.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use sparsedist_bench::upsert_bench_sections;
+use sparsedist_bench::{bench_json, upsert_bench_sections};
 use sparsedist_core::compress::{CompressKind, Crs};
 use sparsedist_core::encode::encode_part_into;
 use sparsedist_core::opcount::OpCounter;
@@ -19,7 +20,6 @@ use sparsedist_core::wire::{self, WireFormat, WirePolicy};
 use sparsedist_gen::SparseRandom;
 use sparsedist_multicomputer::{MachineModel, Multicomputer, PackArena, PackBuffer};
 use std::hint::black_box;
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 const N: usize = 1000;
@@ -187,12 +187,9 @@ fn emit_json(c: &mut Criterion) {
          \"speedup\": {speedup:.3}}}"
     );
 
-    let path = Path::new(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_wire.json"
-    ));
+    let path = bench_json("BENCH_wire.json").expect("locate BENCH_wire.json");
     upsert_bench_sections(
-        path,
+        &path,
         &[
             ("n", N.to_string()),
             ("p", P.to_string()),

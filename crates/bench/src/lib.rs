@@ -349,6 +349,33 @@ pub fn analytic_comparison(
         .collect()
 }
 
+/// True under Criterion's `--test` flag — the CI smoke, one pass per
+/// routine.
+pub fn smoke_mode() -> bool {
+    std::env::args().any(|a| a == "--test")
+}
+
+/// The file a bench writes its `BENCH_*.json` section into. A full run
+/// updates the committed `file` at the workspace root. A smoke run
+/// ([`smoke_mode`]) writes `target/bench-smoke/<file>` instead, seeded
+/// from the committed file when missing, so the committed baseline is
+/// never rewritten and `bench_gate <file> target/bench-smoke/<file>`
+/// compares the two.
+pub fn bench_json(file: &str) -> std::io::Result<std::path::PathBuf> {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let committed = root.join(file);
+    if !smoke_mode() {
+        return Ok(committed);
+    }
+    let dir = root.join("target").join("bench-smoke");
+    std::fs::create_dir_all(&dir)?;
+    let smoke = dir.join(file);
+    if !smoke.exists() && committed.exists() {
+        std::fs::copy(&committed, &smoke)?;
+    }
+    Ok(smoke)
+}
+
 /// Split the top level of a JSON object into `(key, raw value)` pairs,
 /// preserving order and each value's original formatting. Only the
 /// shallow structure is parsed — values stay verbatim text, so a section

@@ -24,44 +24,16 @@ use crate::partition::Partition;
 use crate::wire::{self, WireFormat, WirePolicy};
 use sparsedist_multicomputer::pack::PackBuffer;
 
-/// Encode part `pid` of the global array into a special buffer in the
-/// seed v1 layout.
+/// Encode part `pid` of the global array into `buf` under the chosen
+/// [`WirePolicy`].
 ///
 /// Op accounting: one op per cell scanned, three per nonzero (push `C`,
 /// push `V`, bump the running `R_i`) — summed over all parts this is the
 /// paper's encoding cost `n²(1 + 3s)·T_Operation`.
-pub fn encode_part(
-    global: &crate::dense::Dense2D,
-    part: &dyn Partition,
-    pid: usize,
-    kind: CompressKind,
-    ops: &mut OpCounter,
-) -> PackBuffer {
-    let (lrows, lcols) = part.local_shape(pid);
-    let (outer, inner) = match kind {
-        CompressKind::Crs => (lrows, lcols),
-        CompressKind::Ccs => (lcols, lrows),
-    };
-    let mut buf = PackBuffer::with_capacity(outer + 2 * (outer * inner) / 8 + 1);
-    encode_part_into(
-        &mut buf,
-        global,
-        part,
-        pid,
-        kind,
-        &WirePolicy::of(WireFormat::V1),
-        ops,
-    );
-    buf
-}
-
-/// Encode part `pid` of the global array into `buf` under the chosen
-/// [`WirePolicy`] — the wire-aware, buffer-reusing core behind
-/// [`encode_part`].
 ///
 /// `buf` is typically checked out of a `PackArena` so repeated runs reuse
-/// their allocations. Under [`WireFormat::V1`] the bytes appended are
-/// exactly [`encode_part`]'s; newer formats write a header and the
+/// their allocations. Under [`WireFormat::V1`] the bytes appended are the
+/// seed's single-pass layout; newer formats write a header and the
 /// codec's negotiated segment encodings. The logical element count and op
 /// accounting are identical in every format.
 pub fn encode_part_into(
@@ -93,35 +65,22 @@ pub fn encode_part_into(
     codec.encode_pairs(buf, pointer, indices, values, desc);
 }
 
-/// Decode a received special buffer (v1 layout) into a compressed local
-/// array.
+/// Decode a received special buffer in the chosen [`WireFormat`] into a
+/// compressed local array.
 ///
 /// Op accounting (matching Tables 1–2): one op to initialise the pointer
 /// array, one per segment for `RO[i+1] = RO[i] + R_i`, one per moved
 /// `C_ij`, one per moved `V_ij`, plus one per index conversion when the
-/// partition requires it.
-pub fn decode_part(
-    buf: &PackBuffer,
-    part: &dyn Partition,
-    pid: usize,
-    kind: CompressKind,
-    ops: &mut OpCounter,
-) -> Result<LocalCompressed, SparsedistError> {
-    decode_part_wire(buf, part, pid, kind, WireFormat::V1, ops)
-}
-
-/// Decode a received special buffer in the chosen [`WireFormat`] — the
-/// wire-aware core behind [`decode_part`].
+/// partition requires it. Identical in every format.
 ///
 /// The message header is validated first ([`CompressError::WireHeader`]
 /// on mismatch) and names the codec that actually wrote the stream, so a
 /// v3-configured receiver also accepts a v2 stream from an older sender.
-/// Op accounting is identical in every format.
 ///
 /// # Errors
-/// Same as [`decode_part`], plus [`CompressError::WireHeader`] for a
-/// stream whose header is missing or malformed, and the codec's typed
-/// errors for structurally invalid payloads.
+/// [`CompressError::WireHeader`] for a stream whose header is missing or
+/// malformed, the codec's typed errors for truncated or structurally
+/// invalid payloads, and the compressed array's validation errors.
 pub fn decode_part_wire(
     buf: &PackBuffer,
     part: &dyn Partition,
@@ -172,6 +131,21 @@ mod tests {
     use crate::partition::{
         BalancedRows, BlockCyclic, ColBlock, ColCyclic, Mesh2D, RowBlock, RowCyclic,
     };
+    use crate::wire::WireFormat::V1;
+
+    /// Encode part `pid` into a fresh buffer under `format`'s policy.
+    fn encode(
+        a: &Dense2D,
+        part: &dyn Partition,
+        pid: usize,
+        kind: CompressKind,
+        format: WireFormat,
+        ops: &mut OpCounter,
+    ) -> PackBuffer {
+        let mut buf = PackBuffer::new();
+        encode_part_into(&mut buf, a, part, pid, kind, &WirePolicy::of(format), ops);
+        buf
+    }
 
     /// Read the raw u64/f64 stream of a buffer as (counts, pairs) for
     /// inspection.
@@ -196,7 +170,7 @@ mod tests {
         // (global row, value): col3 → (4, 6), col4 → (5, 7), col5 → (3, 5).
         let a = paper_array_a();
         let part = RowBlock::new(10, 8, 4);
-        let buf = encode_part(&a, &part, 1, CompressKind::Ccs, &mut OpCounter::new());
+        let buf = encode(&a, &part, 1, CompressKind::Ccs, V1, &mut OpCounter::new());
         let stream = raw_stream(&buf, 8);
         let counts: Vec<u64> = stream.iter().map(|(c, _)| *c).collect();
         assert_eq!(counts, vec![0, 0, 0, 1, 1, 1, 0, 0]);
@@ -214,8 +188,9 @@ mod tests {
         // (1-based local rows), VL = [6,7,5].
         let a = paper_array_a();
         let part = RowBlock::new(10, 8, 4);
-        let buf = encode_part(&a, &part, 1, CompressKind::Ccs, &mut OpCounter::new());
-        let got = decode_part(&buf, &part, 1, CompressKind::Ccs, &mut OpCounter::new()).unwrap();
+        let buf = encode(&a, &part, 1, CompressKind::Ccs, V1, &mut OpCounter::new());
+        let got =
+            decode_part_wire(&buf, &part, 1, CompressKind::Ccs, V1, &mut OpCounter::new()).unwrap();
         let ccs = got.as_ccs();
         assert_eq!(ccs.cp_paper(), vec![1, 1, 1, 1, 2, 3, 4, 4, 4]);
         assert_eq!(ccs.ri_paper(), vec![2, 3, 1]);
@@ -235,9 +210,10 @@ mod tests {
         for part in &parts {
             for kind in [CompressKind::Crs, CompressKind::Ccs] {
                 for pid in 0..part.nparts() {
-                    let buf = encode_part(&a, part.as_ref(), pid, kind, &mut OpCounter::new());
+                    let buf = encode(&a, part.as_ref(), pid, kind, V1, &mut OpCounter::new());
                     let got =
-                        decode_part(&buf, part.as_ref(), pid, kind, &mut OpCounter::new()).unwrap();
+                        decode_part_wire(&buf, part.as_ref(), pid, kind, V1, &mut OpCounter::new())
+                            .unwrap();
                     assert_eq!(
                         got.to_dense(),
                         part.extract_dense(&a, pid),
@@ -282,7 +258,7 @@ mod tests {
                         }
                     };
                     let mut ops = OpCounter::new();
-                    let buf = encode_part(&a, part.as_ref(), pid, kind, &mut ops);
+                    let buf = encode(&a, part.as_ref(), pid, kind, V1, &mut ops);
                     let what = format!("{} {kind} part {pid}", part.name());
                     assert_eq!(ops, want_ops, "{what}");
                     let stream = raw_stream(&buf, pointer.len() - 1);
@@ -308,7 +284,7 @@ mod tests {
         let part = RowBlock::new(10, 8, 4);
         let mut ops = OpCounter::new();
         for pid in 0..4 {
-            let _ = encode_part(&a, &part, pid, CompressKind::Crs, &mut ops);
+            let _ = encode(&a, &part, pid, CompressKind::Crs, V1, &mut ops);
         }
         assert_eq!(ops.get(), 80 + 3 * 16);
     }
@@ -319,9 +295,9 @@ mod tests {
         // pid costs 1 + rows + 2·nnz ops.
         let a = paper_array_a();
         let part = RowBlock::new(10, 8, 4);
-        let buf = encode_part(&a, &part, 2, CompressKind::Crs, &mut OpCounter::new());
+        let buf = encode(&a, &part, 2, CompressKind::Crs, V1, &mut OpCounter::new());
         let mut ops = OpCounter::new();
-        let _ = decode_part(&buf, &part, 2, CompressKind::Crs, &mut ops).unwrap();
+        let _ = decode_part_wire(&buf, &part, 2, CompressKind::Crs, V1, &mut ops).unwrap();
         // P2: 3 rows, 6 nonzeros → 1 + 3 + 12 = 16.
         assert_eq!(ops.get(), 16);
     }
@@ -331,9 +307,9 @@ mod tests {
         // Row partition + CCS (Case 3.3.2): 1 + cols + 3·nnz.
         let a = paper_array_a();
         let part = RowBlock::new(10, 8, 4);
-        let buf = encode_part(&a, &part, 1, CompressKind::Ccs, &mut OpCounter::new());
+        let buf = encode(&a, &part, 1, CompressKind::Ccs, V1, &mut OpCounter::new());
         let mut ops = OpCounter::new();
-        let _ = decode_part(&buf, &part, 1, CompressKind::Ccs, &mut ops).unwrap();
+        let _ = decode_part_wire(&buf, &part, 1, CompressKind::Ccs, V1, &mut ops).unwrap();
         // P1: 8 columns, 3 nonzeros → 1 + 8 + 9 = 18.
         assert_eq!(ops.get(), 18);
     }
@@ -343,7 +319,7 @@ mod tests {
         let a = paper_array_a();
         let part = ColBlock::new(10, 8, 4);
         for pid in 0..4 {
-            let buf = encode_part(&a, &part, pid, CompressKind::Crs, &mut OpCounter::new());
+            let buf = encode(&a, &part, pid, CompressKind::Crs, V1, &mut OpCounter::new());
             let nnz = part.nnz_profile(&a).per_part[pid] as u64;
             // CRS over a column part: 10 rows per part.
             assert_eq!(buf.elem_count(), 10 + 2 * nnz);
@@ -354,7 +330,7 @@ mod tests {
     fn truncated_buffer_is_detected() {
         let a = paper_array_a();
         let part = RowBlock::new(10, 8, 4);
-        let buf = encode_part(&a, &part, 0, CompressKind::Crs, &mut OpCounter::new());
+        let buf = encode(&a, &part, 0, CompressKind::Crs, V1, &mut OpCounter::new());
         // Rebuild a truncated copy: drop the last 8 bytes.
         let mut t = PackBuffer::new();
         let bytes = buf.as_bytes();
@@ -363,7 +339,7 @@ mod tests {
         for _ in 0..n_words {
             t.push_u64(cursor.read_u64());
         }
-        let err = decode_part(&t, &part, 0, CompressKind::Crs, &mut OpCounter::new());
+        let err = decode_part_wire(&t, &part, 0, CompressKind::Crs, V1, &mut OpCounter::new());
         assert!(err.is_err(), "truncation must be reported, got {err:?}");
     }
 
@@ -371,10 +347,10 @@ mod tests {
     fn corrupted_count_is_detected() {
         let a = paper_array_a();
         let part = RowBlock::new(10, 8, 4);
-        let mut buf = encode_part(&a, &part, 0, CompressKind::Crs, &mut OpCounter::new());
+        let mut buf = encode(&a, &part, 0, CompressKind::Crs, V1, &mut OpCounter::new());
         // Inflate the first R_i: the decoder will run off the end.
         buf.patch_u64(0, 1_000).unwrap();
-        let err = decode_part(&buf, &part, 0, CompressKind::Crs, &mut OpCounter::new());
+        let err = decode_part_wire(&buf, &part, 0, CompressKind::Crs, V1, &mut OpCounter::new());
         assert!(err.is_err());
     }
 
@@ -389,35 +365,16 @@ mod tests {
         for part in &parts {
             for kind in [CompressKind::Crs, CompressKind::Ccs] {
                 for pid in 0..part.nparts() {
-                    let v1 = encode_part(&a, part.as_ref(), pid, kind, &mut OpCounter::new());
                     let mut v1_ops = OpCounter::new();
-                    let mut check = PackBuffer::new();
-                    encode_part_into(
-                        &mut check,
-                        &a,
-                        part.as_ref(),
-                        pid,
-                        kind,
-                        &WirePolicy::of(WireFormat::V1),
-                        &mut v1_ops,
-                    );
-                    assert_eq!(check, v1, "V1 via encode_part_into must be byte-identical");
+                    let v1 = encode(&a, part.as_ref(), pid, kind, V1, &mut v1_ops);
                     let mut v1_dec_ops = OpCounter::new();
                     let from_v1 =
-                        decode_part(&v1, part.as_ref(), pid, kind, &mut v1_dec_ops).unwrap();
+                        decode_part_wire(&v1, part.as_ref(), pid, kind, V1, &mut v1_dec_ops)
+                            .unwrap();
 
                     for format in [WireFormat::V2, WireFormat::V3] {
-                        let mut compact = PackBuffer::new();
                         let mut ops = OpCounter::new();
-                        encode_part_into(
-                            &mut compact,
-                            &a,
-                            part.as_ref(),
-                            pid,
-                            kind,
-                            &WirePolicy::of(format),
-                            &mut ops,
-                        );
+                        let compact = encode(&a, part.as_ref(), pid, kind, format, &mut ops);
                         assert_eq!(
                             compact.elem_count(),
                             v1.elem_count(),
@@ -464,14 +421,12 @@ mod tests {
         let mut total = [0usize; 2];
         for (slot, format) in [(0, WireFormat::V2), (1, WireFormat::V3)] {
             for pid in 0..4 {
-                let mut buf = PackBuffer::new();
-                encode_part_into(
-                    &mut buf,
+                let buf = encode(
                     &a,
                     &part,
                     pid,
                     CompressKind::Crs,
-                    &WirePolicy::of(format),
+                    format,
                     &mut OpCounter::new(),
                 );
                 total[slot] += buf.byte_len();
@@ -486,14 +441,12 @@ mod tests {
         // receiver decodes a v2 sender's stream through the header.
         let a = paper_array_a();
         let part = RowBlock::new(10, 8, 4);
-        let mut v2 = PackBuffer::new();
-        encode_part_into(
-            &mut v2,
+        let v2 = encode(
             &a,
             &part,
             0,
             CompressKind::Crs,
-            &WirePolicy::of(WireFormat::V2),
+            WireFormat::V2,
             &mut OpCounter::new(),
         );
         let as_v3 = decode_part_wire(
@@ -521,7 +474,7 @@ mod tests {
     fn v2_decode_rejects_headerless_stream() {
         let a = paper_array_a();
         let part = RowBlock::new(10, 8, 4);
-        let v1 = encode_part(&a, &part, 0, CompressKind::Crs, &mut OpCounter::new());
+        let v1 = encode(&a, &part, 0, CompressKind::Crs, V1, &mut OpCounter::new());
         let err = decode_part_wire(
             &v1,
             &part,
@@ -543,9 +496,10 @@ mod tests {
     fn empty_part_encodes_to_empty_buffer() {
         let a = Dense2D::zeros(9, 4);
         let part = RowBlock::new(9, 4, 4); // part 3 is empty
-        let buf = encode_part(&a, &part, 3, CompressKind::Crs, &mut OpCounter::new());
+        let buf = encode(&a, &part, 3, CompressKind::Crs, V1, &mut OpCounter::new());
         assert_eq!(buf.elem_count(), 0);
-        let got = decode_part(&buf, &part, 3, CompressKind::Crs, &mut OpCounter::new()).unwrap();
+        let got =
+            decode_part_wire(&buf, &part, 3, CompressKind::Crs, V1, &mut OpCounter::new()).unwrap();
         assert_eq!(got.nnz(), 0);
         assert_eq!(got.shape(), (0, 4));
     }

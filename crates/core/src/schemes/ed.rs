@@ -44,10 +44,6 @@ impl SchemeStages for Stages<'_> {
         Phase::Decode
     }
 
-    fn batch_decode_inside_phase(&self) -> bool {
-        true
-    }
-
     fn buf_capacity(&self, pid: usize) -> usize {
         let (lrows, lcols) = self.part.local_shape(pid);
         (lrows + lrows * lcols / 4 + 1) * 8
@@ -80,12 +76,7 @@ impl SchemeStages for Stages<'_> {
         decode_part_wire(payload, self.part, pid, self.kind, self.policy.format, ops)
     }
 
-    fn finish_part(&self, mid: &LocalCompressed, _ops: &mut OpCounter) -> LocalCompressed {
-        // Never reached (finish_phase is None): decode already compressed.
-        mid.clone()
-    }
-
-    fn local_from(&self, mid: LocalCompressed) -> LocalCompressed {
+    fn finish(&self, mid: LocalCompressed, _ops: &mut OpCounter) -> LocalCompressed {
         mid
     }
 }

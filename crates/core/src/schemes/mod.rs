@@ -48,9 +48,10 @@ pub struct SchemeConfig {
     /// layouts are fixed by the format.
     pub codec: CodecChoice,
     /// Encode/compress the per-part buffers on scoped host threads at the
-    /// source (and decode in parallel on receivers owning several parts).
-    /// Per-part op counts are merged in part order and charged once, so
-    /// virtual-time phase totals are bit-identical to the sequential path.
+    /// source (staged sends only; the overlapped and routed sources encode
+    /// part by part). Per-part op counts are merged in part order and
+    /// charged once, so every virtual ledger and trace is bit-identical to
+    /// the sequential path. Receivers always decode part by part.
     pub parallel: bool,
     /// Overlap encode/compress with the transfers: the source sends each
     /// part **as soon as it is encoded** via the engine's nonblocking
@@ -100,16 +101,15 @@ impl SchemeConfig {
 /// returning each part's own op count (`counts[pid]`).
 ///
 /// Each part — on either path — counts its ops into a private
-/// [`OpCounter`]; the counts (plain `u64`s, so addition is associative)
-/// are merged into `ops` in part order afterwards. The caller charges the
-/// merged total exactly once, so the virtual clock cannot tell the two
+/// [`OpCounter`], and the counts come back in part order. The caller
+/// charges their sum exactly once (`pipeline::charge_parts`; plain `u64`s,
+/// so addition is associative), so the virtual clock cannot tell the two
 /// paths apart, and the per-part counts feed the tracing layer's sub-span
 /// attribution identically whether the parts ran sequentially or on host
 /// threads.
 pub(crate) fn map_parts_counted<T: Send>(
     nparts: usize,
     parallel: bool,
-    ops: &mut OpCounter,
     f: &(dyn Fn(usize, &mut OpCounter) -> T + Sync),
 ) -> (Vec<T>, Vec<u64>) {
     let workers = if parallel {
@@ -128,9 +128,7 @@ pub(crate) fn map_parts_counted<T: Send>(
         for pid in 0..nparts {
             let mut local = OpCounter::new();
             out.push(f(pid, &mut local));
-            let n = local.get();
-            counts.push(n);
-            ops.add(n);
+            counts.push(local.get());
         }
         return (out, counts);
     }
@@ -163,7 +161,6 @@ pub(crate) fn map_parts_counted<T: Send>(
     let mut counts = Vec::with_capacity(nparts);
     for chunk_results in per_chunk {
         for (t, n) in chunk_results {
-            ops.add(n);
             counts.push(n);
             out.push(t);
         }
@@ -642,10 +639,11 @@ mod tests {
         // The SchemeConfig knobs tune *how* the host does the work — wire
         // layout and threading — never *what* is distributed or what the
         // paper's clock charges. Compare every config against the default
-        // on every scheme × partition × kind: identical locals and
-        // identical non-Wait phase totals. (Wait is excluded because the
-        // parallel receiver path drains messages before decoding, which
-        // legitimately reshuffles waiting between recv calls.)
+        // on every scheme × partition × kind, fault-free and with a dead
+        // rank (whose survivor then owns two parts): identical locals and
+        // busy-phase totals, and under the v1 wire (host threads only)
+        // identical ledgers, `Wait` included.
+        use sparsedist_multicomputer::FaultPlan;
         let a = paper_array_a();
         let configs = [
             SchemeConfig {
@@ -666,23 +664,36 @@ mod tests {
             Phase::Encode,
             Phase::Decode,
         ];
-        for part in all_partitions(10, 8) {
-            for kind in [CompressKind::Crs, CompressKind::Ccs] {
-                for scheme in SchemeKind::ALL {
-                    let base = run_scheme(scheme, &machine(4), &a, part.as_ref(), kind).unwrap();
-                    for config in configs {
-                        let run =
-                            run_scheme_with(scheme, &machine(4), &a, part.as_ref(), kind, config)
+        let machines = [
+            machine(4),
+            machine(4).with_faults(FaultPlan::new(7).with_dead_rank(2)),
+        ];
+        for m in &machines {
+            for part in all_partitions(10, 8) {
+                for kind in [CompressKind::Crs, CompressKind::Ccs] {
+                    for scheme in SchemeKind::ALL {
+                        let base = run_scheme(scheme, m, &a, part.as_ref(), kind).unwrap();
+                        for config in configs {
+                            let run = run_scheme_with(scheme, m, &a, part.as_ref(), kind, config)
                                 .unwrap();
-                        let tag = format!("{scheme} {kind} {} {config:?}", part.name());
-                        assert_eq!(run.locals, base.locals, "{tag}");
-                        for (l, b) in run.ledgers.iter().zip(&base.ledgers) {
-                            for ph in busy_phases {
-                                assert_eq!(l.get(ph), b.get(ph), "{tag} {ph:?}");
+                            let tag = format!("{scheme} {kind} {} {config:?}", part.name());
+                            assert_eq!(run.locals, base.locals, "{tag}");
+                            if config.wire == WireFormat::V1 {
+                                assert_eq!(run.ledgers, base.ledgers, "{tag}");
                             }
-                            // Same logical elements on the wire under every
-                            // config — T_Data cannot tell the formats apart.
-                            assert_eq!(l.wire().elements, b.wire().elements, "{tag} wire elements");
+                            for (l, b) in run.ledgers.iter().zip(&base.ledgers) {
+                                for ph in busy_phases {
+                                    assert_eq!(l.get(ph), b.get(ph), "{tag} {ph:?}");
+                                }
+                                // Same logical elements on the wire under
+                                // every config — T_Data cannot tell the
+                                // formats apart.
+                                assert_eq!(
+                                    l.wire().elements,
+                                    b.wire().elements,
+                                    "{tag} wire elements"
+                                );
+                            }
                         }
                     }
                 }
@@ -726,34 +737,25 @@ mod tests {
 
     #[test]
     fn parallel_receiver_path_matches_sequential_under_rank_death() {
-        // Fault-free every receiver owns one part, so the parallel decode
-        // path only wakes up when rank death re-homes parts. Kill a rank:
-        // its survivor owns two parts and decodes them on host threads —
-        // with the same state and the same busy-phase totals as the
-        // sequential walk.
+        // Fault-free every receiver owns one part; kill a rank and its
+        // survivor owns two. Host threads at the source must still leave
+        // the state and every ledger — `Wait` included — exactly as the
+        // sequential run has them.
         use sparsedist_multicomputer::FaultPlan;
         let a = paper_array_a();
         let part = RowBlock::new(10, 8, 4);
         let m = machine(4).with_faults(FaultPlan::new(7).with_dead_rank(2));
+        let parallel = SchemeConfig {
+            parallel: true,
+            ..SchemeConfig::default()
+        };
         for kind in [CompressKind::Crs, CompressKind::Ccs] {
             for scheme in SchemeKind::ALL {
                 let base = run_scheme(scheme, &m, &a, &part, kind).unwrap();
-                let par = run_scheme_with(
-                    scheme,
-                    &m,
-                    &a,
-                    &part,
-                    kind,
-                    SchemeConfig::compact_parallel(),
-                )
-                .unwrap();
+                let par = run_scheme_with(scheme, &m, &a, &part, kind, parallel).unwrap();
                 assert_eq!(par.locals, base.locals, "{scheme} {kind}");
                 assert_eq!(par.reassemble(&part), a, "{scheme} {kind}");
-                for (l, b) in par.ledgers.iter().zip(&base.ledgers) {
-                    for ph in [Phase::Unpack, Phase::Compress, Phase::Decode] {
-                        assert_eq!(l.get(ph), b.get(ph), "{scheme} {kind} {ph:?}");
-                    }
-                }
+                assert_eq!(par.ledgers, base.ledgers, "{scheme} {kind}");
             }
         }
     }

@@ -20,7 +20,7 @@ use crate::dense::Dense2D;
 use crate::error::SparsedistError;
 use crate::opcount::OpCounter;
 use crate::partition::Partition;
-use crate::schemes::pipeline::{recv_part, send_part};
+use crate::schemes::pipeline::{charge_part, charge_parts, recv_part, send_part};
 use crate::schemes::{map_parts_counted, SchemeConfig};
 use crate::wire::{self, WirePolicy};
 use sparsedist_multicomputer::pack::UnpackError;
@@ -156,17 +156,12 @@ fn multi_task<'e>(
                 // charged), exactly like the staged path — only the
                 // send is skipped.
                 for dst in 0..p {
-                    let buf = env.phase(Phase::Encode, |env| {
-                        let mut ops = OpCounter::new();
-                        let (lrows, lcols) = part.local_shape(dst);
-                        let mut buf = env
-                            .arena()
-                            .checkout((lrows / nsources + 1) * (lcols / 2 + 1) * 8);
-                        encode_stripe(&mut buf, global, part, dst, me, nsources, &policy, &mut ops);
-                        let n = ops.take();
-                        env.trace_part_ops(&[(dst, n)]);
-                        env.charge_ops(n);
-                        buf
+                    let (lrows, lcols) = part.local_shape(dst);
+                    let mut buf = env
+                        .arena()
+                        .checkout((lrows / nsources + 1) * (lcols / 2 + 1) * 8);
+                    charge_part(env, Phase::Encode, dst, |ops| {
+                        encode_stripe(&mut buf, global, part, dst, me, nsources, &policy, ops);
                     });
                     if env.is_rank_dead(dst) {
                         continue;
@@ -177,25 +172,16 @@ fn multi_task<'e>(
                 }
                 env.phase(Phase::Send, |env| env.wait_all());
             } else {
-                let bufs: Vec<PackBuffer> = env.phase(Phase::Encode, |env| {
-                    let mut ops = OpCounter::new();
-                    let (bufs, counts) = {
-                        let arena = env.arena();
-                        map_parts_counted(p, config.parallel, &mut ops, &|pid, ops| {
-                            let (lrows, lcols) = part.local_shape(pid);
-                            let mut buf =
-                                arena.checkout((lrows / nsources + 1) * (lcols / 2 + 1) * 8);
-                            encode_stripe(&mut buf, global, part, pid, me, nsources, &policy, ops);
-                            buf
-                        })
-                    };
-                    if env.is_tracing() {
-                        let pairs: Vec<(usize, u64)> = counts.into_iter().enumerate().collect();
-                        env.trace_part_ops(&pairs);
-                    }
-                    env.charge_ops(ops.take());
-                    bufs
-                });
+                let (bufs, counts) = {
+                    let arena = env.arena();
+                    map_parts_counted(p, config.parallel, &|pid, ops| {
+                        let (lrows, lcols) = part.local_shape(pid);
+                        let mut buf = arena.checkout((lrows / nsources + 1) * (lcols / 2 + 1) * 8);
+                        encode_stripe(&mut buf, global, part, pid, me, nsources, &policy, ops);
+                        buf
+                    })
+                };
+                charge_parts(env, Phase::Encode, &counts);
                 env.phase(Phase::Send, |env| -> Result<(), SparsedistError> {
                     for (dst, buf) in bufs.into_iter().enumerate() {
                         if env.is_rank_dead(dst) {
@@ -214,10 +200,11 @@ fn multi_task<'e>(
         for src in 0..nsources {
             msgs.push(recv_part(env, src, config.chunk_elems).await?);
         }
-        let local = env.phase(
+        let local = charge_part(
+            env,
             Phase::Decode,
-            |env| -> Result<LocalCompressed, SparsedistError> {
-                let mut ops = OpCounter::new();
+            me,
+            |ops| -> Result<LocalCompressed, SparsedistError> {
                 let (lrows, _lcols) = part.local_shape(me);
                 let converter = IndexConverter::new(part, me, CompressKind::Crs);
                 let bound = converter.local_index_bound(CompressKind::Crs);
@@ -265,14 +252,11 @@ fn multi_task<'e>(
                     ro.push(ro[lr] + (hi - lo));
                     for k in lo..hi {
                         ops.tick();
-                        co.push(converter.to_local(indices[k], &mut ops));
+                        co.push(converter.to_local(indices[k], ops));
                         vl.push(values[k]);
                         ops.tick();
                     }
                 }
-                let n = ops.take();
-                env.trace_part_ops(&[(me, n)]);
-                env.charge_ops(n);
                 Ok(LocalCompressed::Crs(Crs::from_raw(
                     lrows, bound, ro, co, vl,
                 )?))

@@ -46,10 +46,6 @@ impl SchemeStages for Stages<'_> {
         Phase::Unpack
     }
 
-    fn batch_decode_inside_phase(&self) -> bool {
-        true
-    }
-
     fn buf_capacity(&self, pid: usize) -> usize {
         let (lrows, lcols) = self.part.local_shape(pid);
         lrows * lcols * 8 + wire::HEADER_LEN
@@ -107,13 +103,8 @@ impl SchemeStages for Stages<'_> {
         Some(Phase::Compress)
     }
 
-    fn finish_part(&self, mid: &Dense2D, ops: &mut OpCounter) -> LocalCompressed {
-        compress_dense(self.kind, mid, ops)
-    }
-
-    fn local_from(&self, mid: Dense2D) -> LocalCompressed {
-        // Never reached (finish_phase is Some), but semantically correct.
-        compress_dense(self.kind, &mid, &mut OpCounter::new())
+    fn finish(&self, mid: Dense2D, ops: &mut OpCounter) -> LocalCompressed {
+        compress_dense(self.kind, &mid, ops)
     }
 }
 

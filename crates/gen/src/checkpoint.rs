@@ -236,7 +236,10 @@ pub fn load(dir: impl AsRef<Path>) -> Result<Vec<LocalCompressed>, CkptError> {
     // instead of reserving `ranks` slots up front.
     let mut out = Vec::new();
     for rank in 0..ranks {
-        let bytes = fs::read(dir.join(format!("rank_{rank}.sdc")))?;
+        let path = dir.join(format!("rank_{rank}.sdc"));
+        let bytes = fs::read(&path).map_err(|e| {
+            std::io::Error::new(e.kind(), format!("rank {rank}: {}: {e}", path.display()))
+        })?;
         out.push(decode(rank, &bytes)?);
     }
     Ok(out)

@@ -11,8 +11,9 @@
 
 use sparsedist::core::compress::{Ccs, CompressKind, Crs};
 use sparsedist::core::dense::paper_array_a;
-use sparsedist::core::encode::encode_part;
+use sparsedist::core::encode::encode_part_into;
 use sparsedist::core::opcount::OpCounter;
+use sparsedist::multicomputer::PackBuffer;
 use sparsedist::prelude::*;
 
 fn main() {
@@ -77,8 +78,10 @@ fn main() {
     );
 
     println!("\nFigure 6/7: ED special buffers B (row partition, CCS format)");
+    let v1 = WirePolicy::of(WireFormat::V1);
     for pid in 0..4 {
-        let buf = encode_part(&a, &part, pid, CompressKind::Ccs, &mut OpCounter::new());
+        let (mut buf, mut ops) = (PackBuffer::new(), OpCounter::new());
+        encode_part_into(&mut buf, &a, &part, pid, CompressKind::Ccs, &v1, &mut ops);
         let mut cursor = buf.cursor();
         let mut rendered = Vec::new();
         for _ in 0..8 {

@@ -173,6 +173,13 @@ fn manifest_rank_count_lies_are_refused() {
             _ => "other",
         };
         assert_eq!(variant, want, "ranks {ranks}: {got:?}");
+        if want == "Io" {
+            // The checkpoint holds rank files 0..4: the error names the
+            // first missing one.
+            let msg = got.unwrap_err().to_string();
+            assert!(msg.contains("rank_4.sdc"), "ranks {ranks}: {msg}");
+            assert!(msg.contains("rank 4"), "ranks {ranks}: {msg}");
+        }
     }
     // A manifest naming fewer ranks than the machine has loads, but does
     // not fit the machine it is resumed on.

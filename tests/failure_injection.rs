@@ -4,17 +4,33 @@
 
 use sparsedist::core::compress::{Ccs, CompressError, Crs};
 use sparsedist::core::dense::paper_array_a;
-use sparsedist::core::encode::{decode_part, encode_part};
+use sparsedist::core::encode::{decode_part_wire, encode_part_into};
 use sparsedist::core::opcount::OpCounter;
+use sparsedist::core::wire::WireFormat::V1;
 use sparsedist::gen::matrixmarket;
 use sparsedist::multicomputer::PackBuffer;
 use sparsedist::prelude::*;
+
+/// ED-encode part `pid` of `a` in the v1 wire layout (CRS).
+fn encode_v1(a: &Dense2D, part: &RowBlock, pid: usize) -> PackBuffer {
+    let (mut buf, mut ops) = (PackBuffer::new(), OpCounter::new());
+    encode_part_into(
+        &mut buf,
+        a,
+        part,
+        pid,
+        CompressKind::Crs,
+        &WirePolicy::of(V1),
+        &mut ops,
+    );
+    buf
+}
 
 #[test]
 fn truncated_ed_buffer_reports_error_not_panic() {
     let a = paper_array_a();
     let part = RowBlock::new(10, 8, 4);
-    let full = encode_part(&a, &part, 2, CompressKind::Crs, &mut OpCounter::new());
+    let full = encode_v1(&a, &part, 2);
     // Rebuild progressively truncated buffers; every prefix must fail
     // cleanly (or, for the full buffer, succeed).
     let words = full.byte_len() / 8;
@@ -24,10 +40,17 @@ fn truncated_ed_buffer_reports_error_not_panic() {
         for _ in 0..keep {
             t.push_u64(cursor.read_u64());
         }
-        let r = decode_part(&t, &part, 2, CompressKind::Crs, &mut OpCounter::new());
+        let r = decode_part_wire(&t, &part, 2, CompressKind::Crs, V1, &mut OpCounter::new());
         assert!(r.is_err(), "prefix of {keep}/{words} words must fail");
     }
-    let ok = decode_part(&full, &part, 2, CompressKind::Crs, &mut OpCounter::new());
+    let ok = decode_part_wire(
+        &full,
+        &part,
+        2,
+        CompressKind::Crs,
+        V1,
+        &mut OpCounter::new(),
+    );
     assert!(ok.is_ok());
 }
 
@@ -35,9 +58,9 @@ fn truncated_ed_buffer_reports_error_not_panic() {
 fn corrupted_counts_detected() {
     let a = paper_array_a();
     let part = RowBlock::new(10, 8, 4);
-    let mut buf = encode_part(&a, &part, 0, CompressKind::Crs, &mut OpCounter::new());
+    let mut buf = encode_v1(&a, &part, 0);
     buf.patch_u64(0, u64::MAX / 16).unwrap(); // absurd R_0
-    let r = decode_part(&buf, &part, 0, CompressKind::Crs, &mut OpCounter::new());
+    let r = decode_part_wire(&buf, &part, 0, CompressKind::Crs, V1, &mut OpCounter::new());
     assert!(r.is_err());
 }
 

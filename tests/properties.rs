@@ -2,8 +2,10 @@
 
 use proptest::prelude::*;
 use sparsedist::core::compress::{Ccs, Crs};
-use sparsedist::core::encode::{decode_part, encode_part};
+use sparsedist::core::encode::{decode_part_wire, encode_part_into};
 use sparsedist::core::opcount::OpCounter;
+use sparsedist::core::wire::WireFormat::V1;
+use sparsedist::multicomputer::PackBuffer;
 use sparsedist::ops::spmv::{crs_spmv, dense_spmv};
 use sparsedist::ops::transpose::{crs_to_ccs, transpose};
 use sparsedist::prelude::*;
@@ -92,8 +94,9 @@ proptest! {
     }), kind in prop_oneof![Just(CompressKind::Crs), Just(CompressKind::Ccs)]) {
         let (part, p) = pp;
         for pid in 0..p {
-            let buf = encode_part(&a, part.as_ref(), pid, kind, &mut OpCounter::new());
-            let got = decode_part(&buf, part.as_ref(), pid, kind, &mut OpCounter::new()).unwrap();
+            let (mut buf, mut ops) = (PackBuffer::new(), OpCounter::new());
+            encode_part_into(&mut buf, &a, part.as_ref(), pid, kind, &WirePolicy::of(V1), &mut ops);
+            let got = decode_part_wire(&buf, part.as_ref(), pid, kind, V1, &mut ops).unwrap();
             prop_assert_eq!(got.to_dense(), part.extract_dense(&a, pid));
         }
     }

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use sparsedist::gen::SparseRandom;
-use sparsedist::multicomputer::{chrome_trace_json, MemorySink, NullSink, RankTrace};
+use sparsedist::multicomputer::{chrome_trace_json, FaultPlan, MemorySink, NullSink, RankTrace};
 use sparsedist::prelude::*;
 use std::sync::Arc;
 
@@ -97,7 +97,8 @@ proptest! {
 
     /// Host-side parallelism is invisible to the trace: the per-part op
     /// counts are merged in part order, so sequential and parallel runs
-    /// emit identical spans and identical ledgers (fault-free).
+    /// emit identical spans and identical ledgers — fault-free, and with a
+    /// dead rank whose part a survivor then receives and decodes.
     #[test]
     fn parallel_and_sequential_runs_trace_identically(
         seed in 0u64..1000,
@@ -111,31 +112,40 @@ proptest! {
         let a = SparseRandom::new(n, n).sparse_ratio(0.15).seed(seed).generate();
         let part = RowBlock::new(n, n, p);
 
-        let mut traces = Vec::new();
-        for parallel in [false, true] {
-            let sink = Arc::new(MemorySink::new());
-            let machine = Multicomputer::virtual_machine(p, MachineModel::ibm_sp2())
-                .with_trace_sink(sink.clone());
-            run_scheme_with(
-                scheme,
-                &machine,
-                &a,
-                &part,
-                CompressKind::Crs,
-                SchemeConfig {
-                    wire,
-                    parallel,
-                    ..SchemeConfig::default()
-                },
-            )
-            .unwrap();
-            traces.push(sink.take());
+        let mut plans = vec![None];
+        if p >= 3 {
+            plans.push(Some(FaultPlan::new(seed).with_dead_rank(1)));
         }
-        let (seq, par) = (&traces[0], &traces[1]);
-        prop_assert_eq!(seq.len(), par.len());
-        for (s, q) in seq.iter().zip(par) {
-            prop_assert_eq!(&s.spans, &q.spans, "rank {} spans differ", s.rank);
-            prop_assert_eq!(&s.ledger, &q.ledger, "rank {} ledger differs", s.rank);
+        for plan in plans {
+            let mut traces = Vec::new();
+            for parallel in [false, true] {
+                let sink = Arc::new(MemorySink::new());
+                let mut machine = Multicomputer::virtual_machine(p, MachineModel::ibm_sp2())
+                    .with_trace_sink(sink.clone());
+                if let Some(plan) = plan.clone() {
+                    machine = machine.with_faults(plan);
+                }
+                run_scheme_with(
+                    scheme,
+                    &machine,
+                    &a,
+                    &part,
+                    CompressKind::Crs,
+                    SchemeConfig {
+                        wire,
+                        parallel,
+                        ..SchemeConfig::default()
+                    },
+                )
+                .unwrap();
+                traces.push(sink.take());
+            }
+            let (seq, par) = (&traces[0], &traces[1]);
+            prop_assert_eq!(seq.len(), par.len());
+            for (s, q) in seq.iter().zip(par) {
+                prop_assert_eq!(&s.spans, &q.spans, "rank {} spans differ", s.rank);
+                prop_assert_eq!(&s.ledger, &q.ledger, "rank {} ledger differs", s.rank);
+            }
         }
     }
 }
